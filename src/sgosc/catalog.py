@@ -212,11 +212,6 @@ def kg_spphi_oracle(pair, spec: KgSpec = KgSpec(), atol: float = ATOL) -> str:
 # -- sample clouds and ball-metric distances ------------------------------------------
 
 
-def _ball(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return v / np.sqrt(1.0 + np.sum(v * v))
-
-
 def _geodesic_arc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Unit vectors along the minimizing arc between the directions of a and
     b (the minimax over the sphere of two angle-monotone terms lies on it).
@@ -272,58 +267,62 @@ def _minimax_over_family(bx, bq, x_of, q_of, thetas, params, signs=(1.0, -1.0)):
     return best
 
 
-def kg_mphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
-    """Ball-metric (max over the two factors) distance to the M set,
-    minimized per family over a fine scan of the reduced parameters (radial
-    parameter x geodesic arc between the two pulling directions x sign)."""
-    m = spec.mass
-    bx = pair[0].ball_coords()
-    bq = pair[1].ball_coords()
-    bxv = bx[1:]
-    best = math.inf
+def _light_cone_positions(sg, rs, th):
+    pts = np.concatenate([(sg * rs)[:, None], rs[:, None] * th[None, :]], axis=1)
+    return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
 
-    # x = 0 with every direction
-    nq = np.linalg.norm(bq)
-    d_zero = max(np.linalg.norm(bx), abs(1.0 - nq) if nq > 0 else 1.0)
-    best = min(best, d_zero)
 
-    # light-cone positions with matched directions
-    def x1(sg, rs, th):
-        pts = np.concatenate([(sg * rs)[:, None], rs[:, None] * th[None, :]], axis=1)
-        return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
+def _null_corner_positions(sg, rs, th):
+    return (np.concatenate([[sg], th]) / math.sqrt(2.0))[None, :]
 
-    def q1(sg, rs, th):
-        return np.repeat((sg * th)[None, :], len(rs), axis=0)
 
-    arcs = _geodesic_arc(bxv, bq, n_arc)
-    best = min(best, _minimax_over_family(bx, bq, x1, q1, arcs, _RADII))
-    arcs_m = _geodesic_arc(bxv, -bq, n_arc)
-    best = min(best, _minimax_over_family(bx, bq, x1, q1, arcs_m, _RADII))
+def _position_families_min(best, bx, bq, arcs, m, q_light, q_null, q_time):
+    """Running minimum of _minimax_over_family over the three position
+    families both sets share (light cone, null corner, timelike), each paired
+    with the set's covariable family, on each arc."""
 
-    # null corner
-    def x2(sg, rs, th):
-        u = np.concatenate([[sg], th]) / math.sqrt(2.0)
-        return u[None, :]
-
-    def q2(sg, rs, th):
-        return (sg * th)[None, :]
-
-    for arc in (arcs, arcs_m):
-        best = min(best, _minimax_over_family(bx, bq, x2, q2, arc, np.array([1.0])))
-
-    # timelike positions with finite covariables
-    def x3(sg, ts, th):
+    def timelike(sg, ts, th):
         om = np.sqrt(m * m + ts * ts)
         pts = sg * np.concatenate([om[:, None], ts[:, None] * th[None, :]], axis=1)
         return pts / np.linalg.norm(pts, axis=1)[:, None]
 
-    def q3(sg, ts, th):
+    families = (
+        (_light_cone_positions, q_light, _RADII),
+        (_null_corner_positions, q_null, np.array([1.0])),
+        (timelike, q_time, _TAUS),
+    )
+    for x_of, q_of, params in families:
+        for arc in arcs:
+            best = min(best, _minimax_over_family(bx, bq, x_of, q_of, arc, params))
+    return best
+
+
+def kg_mphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
+    """Ball-metric (max over the two factors) distance to the M set,
+    minimized per family over a fine scan of the reduced parameters (radial
+    parameter x geodesic arc between the two pulling directions x sign)."""
+    bx = pair[0].ball_coords()
+    bq = pair[1].ball_coords()
+    bxv = bx[1:]
+
+    # x = 0 with every direction
+    nq = np.linalg.norm(bq)
+    d_zero = max(np.linalg.norm(bx), abs(1.0 - nq) if nq > 0 else 1.0)
+
+    # light-cone positions and the null corner with matched directions
+    def q_light(sg, rs, th):
+        return np.repeat((sg * th)[None, :], len(rs), axis=0)
+
+    def q_null(sg, rs, th):
+        return (sg * th)[None, :]
+
+    # timelike positions with finite covariables
+    def q_time(sg, ts, th):
         pts = ts[:, None] * th[None, :]
         return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
 
-    for arc in (arcs, arcs_m):
-        best = min(best, _minimax_over_family(bx, bq, x3, q3, arc, _TAUS))
-    return best
+    arcs = (_geodesic_arc(bxv, bq, n_arc), _geodesic_arc(bxv, -bq, n_arc))
+    return _position_families_min(d_zero, bx, bq, arcs, spec.mass, q_light, q_null, q_time)
 
 
 def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
@@ -344,45 +343,22 @@ def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
     else:
         best = min(best, max(np.linalg.norm(by), 1.0))
 
-    arcs_p = _geodesic_arc(byv, bqv, 80)
-    arcs_m = _geodesic_arc(byv, -bqv, 80)
-
-    # light-cone positions
-    def y1(sg, rs, th):
-        pts = np.concatenate([(sg * rs)[:, None], rs[:, None] * th[None, :]], axis=1)
-        return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
-
-    def q1(sg, rs, th):
+    # light-cone positions and the null corner, backward null covariables
+    def q_light(sg, rs, th):
         q = np.concatenate([[-1.0], sg * th]) / math.sqrt(2.0)
         return np.repeat(q[None, :], len(rs), axis=0)
 
-    for arc in (arcs_p, arcs_m):
-        best = min(best, _minimax_over_family(by, bq, y1, q1, arc, _RADII))
-
-    # null corner
-    def y2(sg, rs, th):
-        return (np.concatenate([[sg], th]) / math.sqrt(2.0))[None, :]
-
-    def q2(sg, rs, th):
+    def q_null(sg, rs, th):
         return (np.concatenate([[-1.0], sg * th]) / math.sqrt(2.0))[None, :]
 
-    for arc in (arcs_p, arcs_m):
-        best = min(best, _minimax_over_family(by, bq, y2, q2, arc, np.array([1.0])))
-
     # timelike positions with on-shell finite covariables
-    def y3(sg, ts, th):
-        om = np.sqrt(m * m + ts * ts)
-        pts = sg * np.concatenate([om[:, None], ts[:, None] * th[None, :]], axis=1)
-        return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-    def q3(sg, ts, th):
+    def q_time(sg, ts, th):
         om = np.sqrt(m * m + ts * ts)
         pts = np.concatenate([-om[:, None], ts[:, None] * th[None, :]], axis=1)
         return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
 
-    for arc in (arcs_p, arcs_m):
-        best = min(best, _minimax_over_family(by, bq, y3, q3, arc, _TAUS))
-    return best
+    arcs = (_geodesic_arc(byv, bqv, 80), _geodesic_arc(byv, -bqv, 80))
+    return _position_families_min(best, by, bq, arcs, m, q_light, q_null, q_time)
 
 
 # -- mass-shell Fourier support check --------------------------------------------------

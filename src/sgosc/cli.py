@@ -268,16 +268,8 @@ def _cmd_check_phase(config: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_mphi(config: dict) -> int:
-    phi = _resolve_phase(config)
-    protocol = _protocol_from(config)
-    pairs = _pair_grid(phi, config.get("grid", {}))
-    grid = build_mphi_grid(phi, pairs, protocol)
-    _write_csv(
-        config["out_csv"],
-        ["x_kind", "x_coords", "xi_kind", "xi_coords", "label", "min_ratio"],
-        grid.to_csv_rows(),
-    )
+def _write_set_grid(config: dict, phi: PhaseFn, grid, protocol: ScanProtocol) -> None:
+    _write_csv(config["out_csv"], grid.csv_header, grid.to_csv_rows())
     if "out_json" in config:
         _write_json(
             config["out_json"],
@@ -288,6 +280,13 @@ def _cmd_mphi(config: dict) -> int:
                 "protocol": protocol.echo(),
             },
         )
+
+
+def _cmd_mphi(config: dict) -> int:
+    phi = _resolve_phase(config)
+    protocol = _protocol_from(config)
+    pairs = _pair_grid(phi, config.get("grid", {}))
+    _write_set_grid(config, phi, build_mphi_grid(phi, pairs, protocol), protocol)
     return EXIT_OK
 
 
@@ -298,21 +297,7 @@ def _cmd_spphi(config: dict) -> int:
     mgrid = build_mphi_grid(phi, mpairs, protocol)
     spairs = _pair_grid(phi, config.get("grid", {}), covariable_dim=phi.d)
     sgrid = build_spphi_grid(phi, spairs, mgrid, protocol)
-    _write_csv(
-        config["out_csv"],
-        ["y_kind", "y_coords", "q_kind", "q_coords", "label", "min_ratio"],
-        sgrid.to_csv_rows(),
-    )
-    if "out_json" in config:
-        _write_json(
-            config["out_json"],
-            {
-                "phase": phi.source,
-                "cells": len(sgrid.samples),
-                "members": len(sgrid.member_cells(include_margin=False)),
-                "protocol": protocol.echo(),
-            },
-        )
+    _write_set_grid(config, phi, sgrid, protocol)
     return EXIT_OK
 
 
@@ -362,17 +347,20 @@ def _wf_protocol_from(config: dict, dim: int) -> WfProtocol:
     return WfProtocol.make(dim, box=box, ngrid=ngrid, n_dirs=n_dirs, **kw)
 
 
-def _cmd_wf_scan(config: dict) -> int:
-    dist = _resolve_distribution(config["distribution"])
-    protocol = _wf_protocol_from(config, dist.d)
-    wf = wf_scan(dist, protocol)
+def _write_wf(config: dict, wf, **extra) -> None:
     _write_csv(
         config["out_csv"],
         ["y_kind", "y_coords", "q_kind", "q_coords", "label", "fitted_N"],
         wf.to_csv_rows(),
     )
     if "out_json" in config:
-        _write_json(config["out_json"], wf.summary())
+        _write_json(config["out_json"], {**wf.summary(), **extra})
+
+
+def _cmd_wf_scan(config: dict) -> int:
+    dist = _resolve_distribution(config["distribution"])
+    protocol = _wf_protocol_from(config, dist.d)
+    _write_wf(config, wf_scan(dist, protocol))
     return EXIT_OK
 
 
@@ -381,16 +369,7 @@ def _cmd_synth_wf(config: dict) -> int:
     dim = config["dim"]
     dist = make_prescribed(spec, dim)
     protocol = _wf_protocol_from(config, dim)
-    wf = wf_scan(dist, protocol)
-    _write_csv(
-        config["out_csv"],
-        ["y_kind", "y_coords", "q_kind", "q_coords", "label", "fitted_N"],
-        wf.to_csv_rows(),
-    )
-    if "out_json" in config:
-        summary = wf.summary()
-        summary["spec"] = spec.to_json()
-        _write_json(config["out_json"], summary)
+    _write_wf(config, wf_scan(dist, protocol), spec=spec.to_json())
     return EXIT_OK
 
 

@@ -17,9 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .compactify import japanese_bracket
-from .jets import jet_variables, norm2_jet
+from .jets import base_points, norm2_jet
 from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, adaptive_tensor
-from .phase import PhaseFn
+from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
 from .symbols import (
     DEFAULT_PROTOCOL,
     ScanProtocol,
@@ -41,28 +41,6 @@ def _panel_rule(a: float, b: float, n_panels: int):
     nodes = (mid[:, None] + half * GK_NODES[None, :]).ravel()
     weights = np.tile(half * GK_WEIGHTS, n_panels)
     return nodes, weights
-
-
-def _grad_sq_symbol(sym: SymbolFn, which: str) -> SymbolFn:
-    """|grad phi|^2 in the chosen variable group as a SymbolFn."""
-    d, s = sym.d, sym.s
-
-    def jet_fn(xj, kj):
-        batch = (xj + kj)[0].batch
-        order = (xj + kj)[0].order
-        x = np.stack([j.value.real for j in xj]) if xj else np.zeros((0, batch))
-        k = np.stack([j.value.real for j in kj]) if kj else np.zeros((0, batch))
-        pj = sym.jet(x, k, order + 1)
-        rng = range(d) if which == "x" else range(d, d + s)
-        gs = [pj.derivative(i) for i in rng]
-        acc = gs[0] * gs[0]
-        for g in gs[1:]:
-            acc = acc + g * g
-        return acc
-
-    m, mu = sym.order
-    out_order = (2 * m - 2, 2 * mu) if which == "x" else (2 * m, 2 * mu - 2)
-    return SymbolFn(d, s, out_order, jet_fn, f"|grad_{which} {sym.source}|^2")
 
 
 @dataclass
@@ -98,10 +76,10 @@ class HalfOperator:
 
         n, nu = order_pair(self.order)
         gy = globally_elliptic(
-            _grad_sq_symbol(self.phi, "x"), (2 * n - 2, 2 * nu), self.protocol
+            grad_x_sq_symbol(self.phi), (2 * n - 2, 2 * nu), self.protocol
         )
         gk = globally_elliptic(
-            _grad_sq_symbol(self.phi, "xi"), (2 * n, 2 * nu - 2), self.protocol
+            grad_xi_sq_symbol(self.phi), (2 * n, 2 * nu - 2), self.protocol
         )
         comp = phase_component_check(self.phi, self.protocol)
         self.flags = {
@@ -324,19 +302,13 @@ class VRegularizer:
         d, s = phi.d, phi.s
 
         def jet_fn(xj, kj):
-            batch = (xj + kj)[0].batch
-            order = (xj + kj)[0].order
-            x = np.stack([j.value.real for j in xj])
-            k = np.stack([j.value.real for j in kj])
+            x, k, order = base_points(xj, kj)
             pj = phi.jet(x, k, order + 4)
-            g2 = None
-            lap = None
-            for j in range(s):
-                dj = pj.derivative(d + j)
-                g2 = dj * dj if g2 is None else g2 + dj * dj
-                lj = dj.derivative(d + j)
-                lap = lj if lap is None else lap + lj
-            D = 1.0 + g2 - 1j * lap
+            gk = [pj.derivative(d + j) for j in range(s)]
+            lap = gk[0].derivative(d)
+            for j in range(1, s):
+                lap = lap + gk[j].derivative(d + j)
+            D = 1.0 + norm2_jet(gk) - 1j * lap
             inner = a.jet(x, k, order + 2) * D.recip()
             out = inner.truncate(order)
             for j in range(s):

@@ -260,9 +260,6 @@ class Jet:
             res.c[0] += series[j]
         return res
 
-    def _series(self, gen) -> np.ndarray:
-        return gen(self.value, self.order)
-
     def exp(self) -> "Jet":
         return self.compose(_series_exp(self.value, self.order))
 
@@ -283,9 +280,6 @@ class Jet:
 
     def log(self) -> "Jet":
         return self.compose(_series_log(self.value, self.order))
-
-    def conj_values(self) -> np.ndarray:
-        return np.conj(self.value)
 
 
 # -- univariate Taylor coefficient generators ---------------------------
@@ -375,6 +369,19 @@ def jet_variables(order: int, *groups) -> list:
             out.append(Jet.variable(sp, off + i, a[i]))
         off += a.shape[0]
     return out
+
+
+def base_points(xj, kj):
+    """Base points (x, xi) of the variable jets a SymbolFn hands its jet_fn,
+    as real arrays of shape (d, B) and (s, B), and the jets' order."""
+    first = (xj + kj)[0]
+
+    def stack(js):
+        if not js:
+            return np.zeros((0, first.batch))
+        return np.stack([j.value.real for j in js])
+
+    return stack(xj), stack(kj), first.order
 
 
 def norm2_jet(vs) -> Jet:

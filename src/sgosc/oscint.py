@@ -20,7 +20,7 @@ import numpy as np
 from .compactify import japanese_bracket, smoothstep_jet
 from .jets import Jet, jet_variables, norm2_jet
 from .phase import PhaseFn, require_admissible
-from .regularize import RegularizerP, apply_P_r, build_P
+from .regularize import RegularizerP, apply_P_r, build_P, q_step
 from .symbols import DEFAULT_PROTOCOL, ScanProtocol, SymbolFn, order_pair
 
 INF = math.inf
@@ -93,6 +93,10 @@ def _tensor_rule(nd: int):
 
 _RULES = {nd: _tensor_rule(nd) for nd in (1, 2, 3)}
 
+# Cap on the quadrature nodes handed to an integrand in one call: a jet of
+# order 4 in 3 variables over 1000 cells of 15^3 nodes would need 1.8 GB.
+MAX_NODES_PER_CALL = 32768
+
 
 def _eval_cells(f, cells, nd):
     nodes, wk, gmask, wgg = _RULES[nd]
@@ -101,9 +105,15 @@ def _eval_cells(f, cells, nd):
     his = np.array([c[1] for c in cells])
     half = 0.5 * (his - los)  # (ncell, nd)
     mid = 0.5 * (his + los)
-    # (nd, ncell, npts)
-    X = mid.T[:, :, None] + half.T[:, :, None] * nodes[:, None, :]
-    vals = f(X.reshape(nd, -1)).reshape(len(cells), npts)
+    # f sees whole cells, at most MAX_NODES_PER_CALL nodes at a time
+    step = max(1, MAX_NODES_PER_CALL // npts)
+    chunks = []
+    for lo in range(0, len(cells), step):
+        sl = slice(lo, lo + step)
+        # (nd, ncell, npts)
+        X = mid[sl].T[:, :, None] + half[sl].T[:, :, None] * nodes[:, None, :]
+        chunks.append(f(X.reshape(nd, -1)))
+    vals = np.concatenate(chunks).reshape(len(cells), npts)
     jac = np.prod(half, axis=1)
     i15 = vals @ wk * jac
     i7 = vals[:, gmask] @ wgg * jac
@@ -562,26 +572,11 @@ def _radial_step_values(r, lo, hi):
 
 def _q_pow_apply(phi: PhaseFn, a: SymbolFn, X, K, k: int, R_in: float) -> np.ndarray:
     """Value of Q^k((1 - chi_in) a) at columns with |xi| > R_in."""
-    d, s = phi.d, phi.s
-    order = k
-    vars_ = jet_variables(order, X, K)
-    xj, kj = vars_[:d], vars_[d:]
-    aj = a.jet(X, K, order)
+    d = phi.d
+    kj = jet_variables(k, X, K)[d:]
     r = norm2_jet(kj).sqrt()
     cut = 1.0 - smoothstep_jet(r, R_in, R_in + 1.0)
-    g = aj * cut
-    for t in range(k):
-        kk = order - t
-        pj = phi.jet(X, K, kk + 1)
-        gk = [pj.derivative(d + i) for i in range(s)]
-        g2 = gk[0] * gk[0]
-        for gg in gk[1:]:
-            g2 = g2 + gg * gg
-        binv = g2.recip()
-        b = [1j * binv * gk[j] for j in range(s)]
-        acc = None
-        for j in range(s):
-            term = b[j] * g.derivative(d + j) + b[j].derivative(d + j) * g
-            acc = term if acc is None else acc + term
-        g = acc
+    g = a.jet(X, K, k) * cut
+    for _ in range(k):
+        g = q_step(phi, X, K, g)
     return g.value

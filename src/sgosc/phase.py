@@ -19,12 +19,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .compactify import CompactPoint, ball_distance, japanese_bracket, pair_distance
-from .jets import Jet, jb_jet
+from .jets import Jet, base_points, norm2_jet
 from .symbols import (
     DEFAULT_PROTOCOL,
     EllipticityResult,
     ScanProtocol,
     SymbolFn,
+    _sample_pairs,
     cross_sides,
     elliptic_at,
     globally_elliptic,
@@ -41,12 +42,6 @@ class NotAdmissibleError(ValueError):
 
 class StandingAssumptionError(ValueError):
     """The geometric angle test requires <x>^2|grad_x phi|^2 elliptic on M_phi."""
-
-
-def _vals(jets: Sequence[Jet], batch: int) -> np.ndarray:
-    if not jets:
-        return np.zeros((0, batch))
-    return np.stack([j.value.real for j in jets])
 
 
 @dataclass
@@ -79,6 +74,7 @@ class PhaseFn:
             raise ValueError("phase order components must be finite and positive")
         self.order = (n, nu)
         self.admissibility: Optional[AdmissibilityReport] = None
+        self._reports: dict = {}  # ScanProtocol -> AdmissibilityReport
 
     @property
     def d(self) -> int:
@@ -108,58 +104,66 @@ class PhaseFn:
 # -- derived symbols ----------------------------------------------------------
 
 
+def _gradient_symbol(phi, out_order, source: str, build) -> SymbolFn:
+    """SymbolFn with jet build(grad_x phi, grad_xi phi, xj, kj), from one jet
+    of phi one order above the requested one.  phi is a PhaseFn or a plain
+    SymbolFn."""
+    d, s = phi.d, phi.s
+
+    def jet_fn(xj, kj):
+        x, xi, order = base_points(xj, kj)
+        pj = phi.jet(x, xi, order + 1)
+        gx = [pj.derivative(i) for i in range(d)]
+        gk = [pj.derivative(d + i) for i in range(s)]
+        return build(gx, gk, xj, kj)
+
+    return SymbolFn(d, s, out_order, jet_fn, source)
+
+
 def eta_symbol(phi: PhaseFn) -> SymbolFn:
     """eta = <x>^2 |grad_x phi|^2 + <xi>^2 |grad_xi phi|^2, order (2n, 2nu)."""
     n, nu = phi.order
-    d, s = phi.d, phi.s
 
-    def jet_fn(xj, kj):
-        batch = (xj + kj)[0].batch
-        order = (xj + kj)[0].order
-        pj = phi.jet(_vals(xj, batch), _vals(kj, batch), order + 1)
-        gx = [pj.derivative(i) for i in range(d)]
-        gk = [pj.derivative(d + i) for i in range(s)]
-        acc = _sumsq(gx) * (1.0 + _sumsq(xj))
+    def build(gx, gk, xj, kj):
+        acc = norm2_jet(gx) * (1.0 + norm2_jet(xj))
         if gk:
-            acc = acc + _sumsq(gk) * (1.0 + _sumsq(kj))
+            acc = acc + norm2_jet(gk) * (1.0 + norm2_jet(kj))
         return acc
 
-    return SymbolFn(d, s, (2 * n, 2 * nu), jet_fn, f"eta[{phi.source}]")
+    return _gradient_symbol(phi, (2 * n, 2 * nu), f"eta[{phi.source}]", build)
 
 
-def _sumsq(js: Sequence[Jet]) -> Jet:
-    acc = js[0] * js[0]
-    for j in js[1:]:
-        acc = acc + j * j
-    return acc
+def grad_x_sq_symbol(phi) -> SymbolFn:
+    """|grad_x phi|^2 as a symbol of order (2n - 2, 2nu)."""
+    n, nu = phi.order
+    return _gradient_symbol(
+        phi,
+        (2 * n - 2, 2 * nu),
+        f"|grad_x {phi.source}|^2",
+        lambda gx, gk, xj, kj: norm2_jet(gx),
+    )
 
 
-def grad_xi_sq_symbol(phi: PhaseFn) -> SymbolFn:
+def grad_xi_sq_symbol(phi) -> SymbolFn:
     """|grad_xi phi|^2 as a symbol of order (2n, 2nu - 2)."""
     n, nu = phi.order
-    d, s = phi.d, phi.s
-
-    def jet_fn(xj, kj):
-        batch = (xj + kj)[0].batch
-        order = (xj + kj)[0].order
-        pj = phi.jet(_vals(xj, batch), _vals(kj, batch), order + 1)
-        return _sumsq([pj.derivative(d + i) for i in range(s)])
-
-    return SymbolFn(d, s, (2 * n, 2 * nu - 2), jet_fn, f"|grad_xi {phi.source}|^2")
+    return _gradient_symbol(
+        phi,
+        (2 * n, 2 * nu - 2),
+        f"|grad_xi {phi.source}|^2",
+        lambda gx, gk, xj, kj: norm2_jet(gk),
+    )
 
 
 def weighted_grad_x_sq_symbol(phi: PhaseFn) -> SymbolFn:
     """<x>^2 |grad_x phi|^2 as a symbol of order (2n, 2nu)."""
     n, nu = phi.order
-    d, s = phi.d, phi.s
-
-    def jet_fn(xj, kj):
-        batch = (xj + kj)[0].batch
-        order = (xj + kj)[0].order
-        pj = phi.jet(_vals(xj, batch), _vals(kj, batch), order + 1)
-        return _sumsq([pj.derivative(i) for i in range(d)]) * (1.0 + _sumsq(xj))
-
-    return SymbolFn(d, s, (2 * n, 2 * nu), jet_fn, f"<x>^2|grad_x {phi.source}|^2")
+    return _gradient_symbol(
+        phi,
+        (2 * n, 2 * nu),
+        f"<x>^2|grad_x {phi.source}|^2",
+        lambda gx, gk, xj, kj: norm2_jet(gx) * (1.0 + norm2_jet(xj)),
+    )
 
 
 # -- eta and admissibility ------------------------------------------------------
@@ -185,22 +189,11 @@ def check_admissible(
     phi: PhaseFn, protocol: ScanProtocol = DEFAULT_PROTOCOL
 ) -> AdmissibilityReport:
     """Global ellipticity of eta at order (2n, 2nu); fails loudly on
-    non-real phases.  The report is cached on the phase."""
+    non-real phases.  The report is cached on the phase under its protocol
+    and is also the phase's latest report, phi.admissibility."""
     n, nu = phi.order
-    dirs_x = protocol.dirs(phi.d)
-    radii = np.asarray(protocol.admiss_radii)
-    sample_x = np.concatenate(
-        [np.zeros((phi.d, 1))] + [(r * dirs_x).T for r in radii[:6]], axis=1
-    )
-    if phi.s > 0:
-        dirs_k = protocol.dirs(phi.s)
-        sample_k = np.concatenate(
-            [np.zeros((phi.s, 1))] + [(r * dirs_k).T for r in radii[:6]], axis=1
-        )
-        X = np.repeat(sample_x, sample_k.shape[1], axis=1)
-        K = np.tile(sample_k, sample_x.shape[1])
-    else:
-        X, K = sample_x, np.zeros((0, sample_x.shape[1]))
+    radii = (0.0,) + tuple(protocol.admiss_radii[:6])
+    X, K = _sample_pairs(phi.d, phi.s, protocol, radii, radii)
     vals = phi.value(X, K)
     max_imag = float(np.max(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
     if max_imag > 1e-12:
@@ -217,15 +210,19 @@ def check_admissible(
         protocol=protocol.echo(),
     )
     phi.admissibility = report
+    phi._reports[protocol] = report
     return report
 
 
 def require_admissible(phi: PhaseFn, protocol: ScanProtocol = DEFAULT_PROTOCOL):
-    if phi.admissibility is None:
-        check_admissible(phi, protocol)
-    if not phi.admissibility.admissible:
+    """The admissibility report of phi under this protocol, checked once per
+    protocol; raises NotAdmissibleError if the sweep failed."""
+    report = phi._reports.get(protocol)
+    if report is None:
+        report = check_admissible(phi, protocol)
+    if not report.admissible:
         raise NotAdmissibleError(f"phase {phi.source} failed the admissibility sweep")
-    return phi.admissibility
+    return report
 
 
 # -- M_phi --------------------------------------------------------------------
@@ -262,28 +259,22 @@ def mphi_classify(
     return MphiSample(pair, label, res.min_ratio, protocol.echo())
 
 
-class MphiGrid:
-    """Classified M_phi samples with fiber lookup for the SP scan."""
+class ClassifiedGrid:
+    """Classified samples of a set scan: nearest-cell lookup, member cells
+    and CSV rows."""
 
-    def __init__(self, phi: PhaseFn, samples: List[MphiSample], protocol: ScanProtocol):
+    csv_header = ["x_kind", "x_coords", "xi_kind", "xi_coords", "label", "min_ratio"]
+
+    def __init__(self, phi: PhaseFn, samples: list, protocol: ScanProtocol):
         self.phi = phi
         self.samples = samples
         self.protocol = protocol
 
-    def member_cells(self, include_margin: bool = True) -> List[MphiSample]:
+    def member_cells(self, include_margin: bool = True) -> list:
         keep = {"member", "margin"} if include_margin else {"member"}
         return [s for s in self.samples if s.classification in keep]
 
-    def fiber(self, y: CompactPoint, radius: float) -> List[MphiSample]:
-        """Member-or-margin cells whose position part is within the
-        ball-metric radius of y (margin counts as member, conservatively)."""
-        out = []
-        for s in self.member_cells():
-            if ball_distance(s.point[0], y) <= radius:
-                out.append(s)
-        return out
-
-    def lookup(self, pair) -> Optional[MphiSample]:
+    def lookup(self, pair):
         best, bd = None, INF
         for s in self.samples:
             dd = pair_distance(s.point, pair)
@@ -306,6 +297,19 @@ class MphiGrid:
                 ]
             )
         return rows
+
+
+class MphiGrid(ClassifiedGrid):
+    """Classified M_phi samples with fiber lookup for the SP scan."""
+
+    def fiber(self, y: CompactPoint, radius: float) -> List[MphiSample]:
+        """Member-or-margin cells whose position part is within the
+        ball-metric radius of y (margin counts as member, conservatively)."""
+        out = []
+        for s in self.member_cells():
+            if ball_distance(s.point[0], y) <= radius:
+                out.append(s)
+        return out
 
 
 def build_mphi_grid(
@@ -490,41 +494,10 @@ def _seed_dirs(s: int) -> np.ndarray:
     return sphere_grid(s, counts.get(s, 24))
 
 
-class SPphiGrid:
+class SPphiGrid(ClassifiedGrid):
     """Classified SP samples; the lookup contract used by the FIO guard."""
 
-    def __init__(self, phi: PhaseFn, samples: List[SPphiSample], protocol: ScanProtocol):
-        self.phi = phi
-        self.samples = samples
-        self.protocol = protocol
-
-    def lookup(self, pair) -> Optional[SPphiSample]:
-        best, bd = None, INF
-        for s in self.samples:
-            dd = pair_distance(s.point, pair)
-            if dd < bd:
-                best, bd = s, dd
-        return best
-
-    def member_cells(self, include_margin: bool = True) -> List[SPphiSample]:
-        keep = {"member", "margin"} if include_margin else {"member"}
-        return [s for s in self.samples if s.classification in keep]
-
-    def to_csv_rows(self) -> List[list]:
-        rows = []
-        for s in self.samples:
-            py, pq = s.point
-            rows.append(
-                [
-                    py.kind,
-                    " ".join(f"{v:.12g}" for v in py.coords),
-                    pq.kind,
-                    " ".join(f"{v:.12g}" for v in pq.coords),
-                    s.classification,
-                    f"{s.min_ratio:.6g}",
-                ]
-            )
-        return rows
+    csv_header = ["y_kind", "y_coords", "q_kind", "q_coords", "label", "min_ratio"]
 
 
 def build_spphi_grid(

@@ -23,7 +23,7 @@ from .compactify import (
     bump_profile_jet,
     smoothstep_jet,
 )
-from .jets import Jet, jet_variables, norm2_jet
+from .jets import Jet, base_points, jet_variables, norm2_jet
 from .phase import PhaseFn, require_admissible
 from .symbols import (
     DEFAULT_PROTOCOL,
@@ -37,19 +37,6 @@ from .symbols import (
 
 class RegularizerRefused(ValueError):
     """Construction rejected: the required ellipticity fails on the support."""
-
-
-def _point_values(jets: Sequence[Jet], batch: int) -> np.ndarray:
-    if not jets:
-        return np.zeros((0, batch))
-    return np.stack([j.value.real for j in jets])
-
-
-def _sumsq(js):
-    acc = js[0] * js[0]
-    for j in js[1:]:
-        acc = acc + j * j
-    return acc
 
 
 # -- smooth selectors -----------------------------------------------------------
@@ -129,9 +116,9 @@ class RegularizerP:
         pj = self.phi.jet(x, xi, order + 2)
         gx = [pj.derivative(i) for i in range(d)]  # order+1
         gk = [pj.derivative(d + i) for i in range(s)]
-        bx2 = 1.0 + _sumsq(vhigh[:d])
-        bk2 = 1.0 + _sumsq(vhigh[d:])
-        eta_j = _sumsq(gx) * bx2 + _sumsq(gk) * bk2
+        bx2 = 1.0 + norm2_jet(vhigh[:d])
+        bk2 = 1.0 + norm2_jet(vhigh[d:])
+        eta_j = norm2_jet(gx) * bx2 + norm2_jet(gk) * bk2
         chi_hi = self.chi_jet(vhigh)
         t0 = np.sqrt(np.sum(x * x, axis=0) + (np.sum(xi * xi, axis=0) if s else 0.0))
         live = t0 > self.R
@@ -217,10 +204,7 @@ def apply_P_r(P: RegularizerP, a: SymbolFn, f=None, r: int = 1) -> SymbolFn:
     out_order = order_shift((m, mu), -r * n, -r * nu)
 
     def jet_fn(xj, kj):
-        batch = (xj + kj)[0].batch
-        order = (xj + kj)[0].order
-        x = _point_values(xj, batch)
-        xi = _point_values(kj, batch)
+        x, xi, order = base_points(xj, kj)
         g = a.jet(x, xi, order + r)
         if f is not None:
             vars_hi = jet_variables(order + r, x, xi)
@@ -286,31 +270,15 @@ class RegularizerQ:
 
     def apply(self, a: SymbolFn) -> SymbolFn:
         phi = self.phi
-        d, s = phi.d, phi.s
         n, nu = phi.order
         from .symbols import order_shift
 
         def jet_fn(xj, kj):
-            batch = (xj + kj)[0].batch
-            order = (xj + kj)[0].order
-            x = _point_values(xj, batch)
-            xi = _point_values(kj, batch)
-            pj = phi.jet(x, xi, order + 2)
-            gk = [pj.derivative(d + i) for i in range(s)]  # order+1
-            g2 = _sumsq(gk)
-            if np.any(np.abs(g2.value) < 1e-14):
-                raise RegularizerRefused("grad_xi phi vanishes on a sample")
-            binv = g2.recip()
-            b = [1j * binv * gk[j] for j in range(s)]
-            aj = a.jet(x, xi, order + 1)
-            acc = None
-            for j in range(s):
-                term = b[j] * aj.derivative(d + j) + b[j].derivative(d + j) * aj
-                acc = term if acc is None else acc + term
-            return acc.truncate(order)
+            x, xi, order = base_points(xj, kj)
+            return q_step(phi, x, xi, a.jet(x, xi, order + 1))
 
         return SymbolFn(
-            d, s, order_shift(a.order, -n, -nu), jet_fn, f"Q[{a.source}]"
+            phi.d, phi.s, order_shift(a.order, -n, -nu), jet_fn, f"Q[{a.source}]"
         )
 
     def residual(self, x, xi) -> np.ndarray:
@@ -328,6 +296,25 @@ class RegularizerQ:
         E = np.exp(1j * phi.value(x, xi))
         tQE = np.sum((-1j * gk / g2) * (1j * gk), axis=0) * E
         return np.abs(tQE - E)
+
+
+def q_step(phi: PhaseFn, x, xi, g: Jet) -> Jet:
+    """Q g = sum_j b_j d_xi_j g + (d_xi_j b_j) g with b = i |grad_xi phi|^-2
+    grad_xi phi, at the base points (x, xi) of g; one order below g.
+    Refuses samples where |grad_xi phi|^2 vanishes."""
+    d, s = phi.d, phi.s
+    pj = phi.jet(x, xi, g.order + 1)
+    gk = [pj.derivative(d + i) for i in range(s)]
+    g2 = norm2_jet(gk)
+    if np.any(np.abs(g2.value) < 1e-14):
+        raise RegularizerRefused("grad_xi phi vanishes on a sample")
+    binv = g2.recip()
+    b = [1j * binv * gk[j] for j in range(s)]
+    acc = None
+    for j in range(s):
+        term = b[j] * g.derivative(d + j) + b[j].derivative(d + j) * g
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def build_Q(

@@ -38,17 +38,7 @@ def make_fk(omega, eta, k: int, d: Optional[int] = None) -> EvaluableDistributio
         d = len(omega)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    c = float(k) ** 3
-    off = -0.5j * c * c * float(np.dot(omega, eta))
-
-    def evaluator(X):
-        dx = X - c * omega[:, None]
-        return np.exp(
-            -0.5 * np.sum(dx * dx, axis=0)
-            + 1j * c * np.tensordot(eta, X, axes=(0, 0))
-            + off
-        )
-
+    evaluator = make_fk_raw(omega, eta, k)
     ft_inner = make_fk_raw(eta, -omega, k)
     scale = (2.0 * math.pi) ** (d / 2.0)
     ft = EvaluableDistribution(
@@ -63,6 +53,7 @@ def make_fk(omega, eta, k: int, d: Optional[int] = None) -> EvaluableDistributio
 
 
 def make_fk_raw(omega, eta, k: int):
+    """Evaluator X (d, B) -> f_k(X; omega, eta), without unit-vector checks."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     c = float(k) ** 3

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sgosc
 from sgosc.cli import main, run
 
 
@@ -125,6 +128,26 @@ def test_mphi_grid_csv(tmp_path):
     assert summary["members"] >= 1
 
 
+def test_spphi_grid_csv_and_determinism(tmp_path):
+    cfg = {
+        "command": "spphi",
+        "phase": "kg11",
+        "grid": {"n_dirs": 8},
+        "out_csv": str(tmp_path / "sp.csv"),
+        "out_json": str(tmp_path / "sp.json"),
+    }
+    assert run(cfg) == 0
+    first_csv = (tmp_path / "sp.csv").read_bytes()
+    first_json = (tmp_path / "sp.json").read_bytes()
+    assert run(cfg) == 0
+    assert (tmp_path / "sp.csv").read_bytes() == first_csv
+    assert (tmp_path / "sp.json").read_bytes() == first_json
+    rows = first_csv.decode().strip().splitlines()
+    assert rows[0] == "y_kind,y_coords,q_kind,q_coords,label,min_ratio"
+    assert any(r.split(",")[4] == "member" for r in rows[1:])
+    assert json.loads(first_json)["members"] >= 1
+
+
 def test_fio_apply_cli(tmp_path):
     cfg = {
         "operator": {"type": "fourier"},
@@ -140,10 +163,15 @@ def test_fio_apply_cli(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the same sgosc as this test, installed or not
+    src = str(Path(sgosc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sgosc.cli", "catalog"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "kg11" in proc.stdout

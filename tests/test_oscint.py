@@ -5,6 +5,7 @@ import pytest
 
 from sgosc.catalog import gaussian_amplitude, sep_power_phase
 from sgosc.oscint import (
+    MAX_NODES_PER_CALL,
     IntegrabilityError,
     NonConvergenceError,
     SchwartzFn,
@@ -172,3 +173,18 @@ def test_quadrature_on_known_integral():
         lambda X: np.exp(-X[0] ** 2), [-10], [10], tol_abs=1e-12, tol_rel=1e-12
     )
     assert abs(val - math.sqrt(math.pi)) < 1e-10
+
+
+def test_adaptive_tensor_caps_nodes_per_call():
+    batches = []
+
+    def gauss3(X):
+        batches.append(X.shape[1])
+        return np.exp(-np.sum(X * X, axis=0))
+
+    val, _, nev = adaptive_tensor(
+        gauss3, [-3.0] * 3, [3.0] * 3, tol_abs=1e-10, tol_rel=1e-10, initial_splits=[10] * 3
+    )
+    assert max(batches) <= MAX_NODES_PER_CALL
+    assert sum(batches) == nev >= 1000 * 15**3
+    assert abs(val - (math.sqrt(math.pi) * math.erf(3.0)) ** 3) < 1e-9

@@ -14,6 +14,7 @@ from sgosc.phase import (
     closure_violations,
     eta,
     mphi_classify,
+    require_admissible,
     sp_angle_test,
     spphi_classify,
 )
@@ -58,6 +59,22 @@ def test_admissibility_examples(bracket_phase, kg11):
     bad = parse_symbol_expr("(x1-x2)*k1", (2, 1), (1, 1))
     rep = check_admissible(PhaseFn(bad, (1, 1)))
     assert not rep.admissible
+
+
+def test_admissibility_cached_per_protocol():
+    phi = sep_power_phase(1, 1)
+    default = check_admissible(phi)
+    assert default.admissible
+    strict = DEFAULT_PROTOCOL.replace(c0=1e3)
+    with pytest.raises(NotAdmissibleError):
+        require_admissible(phi, strict)
+    rejected = phi.admissibility
+    assert rejected.protocol["c0"] == 1e3 and not rejected.admissible
+    # each protocol is checked once: later calls reuse its own report
+    assert require_admissible(phi) is default
+    with pytest.raises(NotAdmissibleError):
+        require_admissible(phi, strict)
+    assert phi.admissibility is rejected
 
 
 def test_phase_order_must_be_positive():

@@ -140,6 +140,27 @@ def test_Q_accept_and_residual():
     assert Q.residual(x, k).max() < 1e-12
 
 
+def test_Q_apply_matches_central_differences():
+    spec = KgSpec(1.0, 1)
+    phi = spec.phase()
+    Q = build_Q(phi, ConeLocalizer(CompactPoint.finite([3.0, 0.0]), CompactPoint.direction([1.0])))
+    a = spec.amplitude()
+    rng = np.random.default_rng(6)
+    x = np.array([[3.0], [0.0]]) + rng.uniform(-0.5, 0.5, (2, 50))
+    k = rng.uniform(2, 60, (1, 50))
+    h = 1e-4 * (1.0 + np.abs(k))
+
+    def b(kk):  # b = i grad_xi phi / |grad_xi phi|^2, s = 1
+        g = phi.grad_xi(x, kk).real
+        return 1j * g / np.sum(g * g, axis=0)
+
+    da = (a.value(x, k + h) - a.value(x, k - h)) / (2 * h[0])
+    db = (b(k + h) - b(k - h))[0] / (2 * h[0])
+    want = b(k)[0] * da + db * a.value(x, k)
+    got = Q.apply(a).value(x, k)
+    assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+
 def test_Q_refused_on_degenerate_cone():
     phi = KgSpec(1.0, 1).phase()
     with pytest.raises(RegularizerRefused):
