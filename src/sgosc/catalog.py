@@ -357,7 +357,7 @@ def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
         pts = np.concatenate([-om[:, None], ts[:, None] * th[None, :]], axis=1)
         return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
 
-    arcs = (_geodesic_arc(byv, bqv, 80), _geodesic_arc(byv, -bqv, 80))
+    arcs = (_geodesic_arc(byv, bqv, n_arc), _geodesic_arc(byv, -bqv, n_arc))
     return _position_families_min(best, by, bq, arcs, m, q_light, q_null, q_time)
 
 

@@ -3,7 +3,7 @@
 One process, batch-only: a JSON job config selects a command, the run writes
 JSON/CSV artifacts with the fully resolved protocol echoed into every output.
 Exit codes: 0 success, 2 validation error, 3 numerical failure (with a
-diagnostic JSON on stderr).  Worker count via SGOSC_THREADS.
+diagnostic JSON on stderr).
 """
 
 from __future__ import annotations
@@ -348,11 +348,7 @@ def _wf_protocol_from(config: dict, dim: int) -> WfProtocol:
 
 
 def _write_wf(config: dict, wf, **extra) -> None:
-    _write_csv(
-        config["out_csv"],
-        ["y_kind", "y_coords", "q_kind", "q_coords", "label", "fitted_N"],
-        wf.to_csv_rows(),
-    )
+    _write_csv(config["out_csv"], wf.csv_header, wf.to_csv_rows())
     if "out_json" in config:
         _write_json(config["out_json"], {**wf.summary(), **extra})
 

@@ -25,6 +25,17 @@ def japanese_bracket(x) -> np.ndarray:
     return np.sqrt(1.0 + np.sum(x * x, axis=0))
 
 
+def as_columns(x) -> np.ndarray:
+    """x as a float array of points in columns, shape (k, B): a 1-D array is
+    one point, so it becomes one column (a scalar is a point of R^1)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x[None]
+    if x.ndim == 1:
+        x = x[:, None]
+    return x
+
+
 def project(x) -> np.ndarray:
     """Map into the open unit ball, x -> x/<x>."""
     x = np.asarray(x, dtype=float)
@@ -90,6 +101,10 @@ class CompactPoint:
         if n == 0.0:
             raise ValueError("cannot take the direction of the zero vector")
         return cls("boundary", tuple(v / n))
+
+    def csv_fields(self) -> list:
+        """The two CSV fields of the point: its kind and its coordinates."""
+        return [self.kind, " ".join(f"{v:.12g}" for v in self.coords)]
 
     def to_json(self) -> dict:
         if self.is_boundary:
@@ -228,9 +243,7 @@ class AsymptoticCutoff:
             raise ValueError("asymptotic cutoff needs R > 0")
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_columns(x)
         r = np.sqrt(np.sum(x * x, axis=0))
         out = np.zeros(x.shape[1], dtype=complex)
         live = r > 0.5 * self.radius
@@ -243,11 +256,7 @@ class AsymptoticCutoff:
         return out
 
     def jet(self, x, order: int) -> Jet:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        xj = jet_variables(order, x)
-        return self.jet_from_vars(xj)
+        return self.jet_from_vars(jet_variables(order, as_columns(x)))
 
     def jet_from_vars(self, xj: Sequence[Jet]) -> Jet:
         sp = xj[0].space

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .compactify import japanese_bracket
+from .compactify import as_columns, japanese_bracket
 from .jets import base_points, norm2_jet
 from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, adaptive_tensor
 from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
@@ -283,12 +283,7 @@ class VRegularizer:
 
     def residual(self, x, xi) -> np.ndarray:
         """|tV e^{i phi} - e^{i phi}| at batched points."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if xi.ndim == 1:
-            xi = xi[:, None]
+        x, xi = as_columns(x), as_columns(xi)
         d, s = self.phi.d, self.phi.s
         E = (self.phi.jet(x, xi, 2) * 1j).exp()
         one_minus_lap = E.value.copy()

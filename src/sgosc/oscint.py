@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .compactify import japanese_bracket, smoothstep_jet
+from .compactify import as_columns, japanese_bracket, smoothstep_jet
 from .jets import Jet, jet_variables, norm2_jet
 from .phase import PhaseFn, require_admissible
 from .regularize import RegularizerP, apply_P_r, build_P, q_step
@@ -226,12 +226,7 @@ class SchwartzFn:
         return self.jet_fn(xjets)
 
     def jet(self, x, order: int) -> Jet:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x[None]
-        if x.ndim == 1:
-            x = x[:, None]
-        return self.jet_fn(jet_variables(order, x))
+        return self.jet_fn(jet_variables(order, as_columns(x)))
 
     def value(self, x) -> np.ndarray:
         return self.jet(x, 0).value

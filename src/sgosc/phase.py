@@ -18,7 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compactify import CompactPoint, ball_distance, japanese_bracket, pair_distance
+from .compactify import (
+    CompactPoint,
+    as_columns,
+    ball_distance,
+    japanese_bracket,
+    pair_distance,
+)
 from .jets import Jet, base_points, norm2_jet
 from .symbols import (
     DEFAULT_PROTOCOL,
@@ -173,14 +179,8 @@ def eta(phi: PhaseFn, x, xi) -> np.ndarray:
     """Pointwise eta(x, xi) >= 0 computed from first-order jets."""
     gx = phi.grad_x(x, xi)
     gk = phi.grad_xi(x, xi)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    bx = japanese_bracket(x) ** 2
-    bk = japanese_bracket(xi) ** 2
+    bx = japanese_bracket(as_columns(x)) ** 2
+    bk = japanese_bracket(as_columns(xi)) ** 2
     val = bx * np.sum(np.abs(gx) ** 2, axis=0) + bk * np.sum(np.abs(gk) ** 2, axis=0)
     return val.real
 
@@ -275,28 +275,15 @@ class ClassifiedGrid:
         return [s for s in self.samples if s.classification in keep]
 
     def lookup(self, pair):
-        best, bd = None, INF
-        for s in self.samples:
-            dd = pair_distance(s.point, pair)
-            if dd < bd:
-                best, bd = s, dd
-        return best
+        return min(self.samples, key=lambda s: pair_distance(s.point, pair), default=None)
 
     def to_csv_rows(self) -> List[list]:
-        rows = []
-        for s in self.samples:
-            px, pk = s.point
-            rows.append(
-                [
-                    px.kind,
-                    " ".join(f"{v:.12g}" for v in px.coords),
-                    pk.kind,
-                    " ".join(f"{v:.12g}" for v in pk.coords),
-                    s.classification,
-                    f"{s.min_ratio:.6g}",
-                ]
-            )
-        return rows
+        return [
+            s.point[0].csv_fields()
+            + s.point[1].csv_fields()
+            + [s.classification, f"{s.min_ratio:.6g}"]
+            for s in self.samples
+        ]
 
 
 class MphiGrid(ClassifiedGrid):
@@ -317,10 +304,8 @@ def build_mphi_grid(
     pairs: Sequence[tuple],
     protocol: ScanProtocol = DEFAULT_PROTOCOL,
 ) -> MphiGrid:
-    from .parallel import parallel_map
-
     require_admissible(phi, protocol)
-    samples = parallel_map(lambda p: mphi_classify(phi, p, protocol), list(pairs))
+    samples = [mphi_classify(phi, p, protocol) for p in pairs]
     return MphiGrid(phi, samples, protocol)
 
 
@@ -506,11 +491,7 @@ def build_spphi_grid(
     mphi_grid: MphiGrid,
     protocol: ScanProtocol = DEFAULT_PROTOCOL,
 ) -> SPphiGrid:
-    from .parallel import parallel_map
-
-    samples = parallel_map(
-        lambda p: spphi_classify(phi, p, mphi_grid, protocol), list(pairs)
-    )
+    samples = [spphi_classify(phi, p, mphi_grid, protocol) for p in pairs]
     return SPphiGrid(phi, samples, protocol)
 
 

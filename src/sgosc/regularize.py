@@ -20,6 +20,7 @@ from .compactify import (
     AsymptoticCutoff,
     CompactPoint,
     SphereGaussian,
+    as_columns,
     bump_profile_jet,
     smoothstep_jet,
 )
@@ -75,10 +76,7 @@ class SpatialCutoff:
         return Jet(sp, out)
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        return self.jet_from_vars(jet_variables(0, x)).value
+        return self.jet_from_vars(jet_variables(0, as_columns(x))).value
 
 
 # -- the operator P ----------------------------------------------------------------
@@ -224,12 +222,7 @@ def residual_P(P: RegularizerP, x, xi) -> np.ndarray:
     """|tP e^{i phi} - e^{i phi}| at batched points (relative; |e^{i phi}|=1)."""
     phi = P.phi
     d, s = phi.d, phi.s
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if xi.ndim == 1:
-        xi = xi[:, None]
+    x, xi = as_columns(x), as_columns(xi)
     u, v, w, _ = P.component_jets(x, xi, 1)
     E = (phi.jet(x, xi, 2) * 1j).exp().truncate(1)
     acc = w.value * E.value
@@ -285,12 +278,7 @@ class RegularizerQ:
         """|tQ e^{i phi} - e^{i phi}| on the cone support (tQ f = -b.grad f)."""
         phi = self.phi
         d, s = phi.d, phi.s
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if xi.ndim == 1:
-            xi = xi[:, None]
+        x, xi = as_columns(x), as_columns(xi)
         gk = phi.grad_xi(x, xi)
         g2 = np.sum(gk * gk, axis=0)
         E = np.exp(1j * phi.value(x, xi))
@@ -360,15 +348,7 @@ class RegularizerQp:
 
     def residual(self, x, xi, p) -> np.ndarray:
         """|tQ e^{i(phi - x.p)} - psi_y e^{i(phi - x.p)}|."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if xi.ndim == 1:
-            xi = xi[:, None]
-        if p.ndim == 1:
-            p = p[:, None]
+        x, xi, p = as_columns(x), as_columns(xi), as_columns(p)
         g = self.phi.grad_x(x, xi).real
         etap = np.sum((g - p) ** 2, axis=0)
         psi = self.psi_y.value(x).real

@@ -19,6 +19,7 @@ import numpy as np
 
 from .compactify import (
     CompactPoint,
+    as_columns,
     direction_ball,
     euclidean_ball,
     japanese_bracket,
@@ -80,20 +81,12 @@ class SymbolFn:
     # -- evaluation ----------------------------------------------------
 
     def _coerce_points(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x[None]
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_columns(x)
         if x.shape[0] != self.d:
             raise ValueError(f"x has {x.shape[0]} rows, symbol expects {self.d}")
         if self.s == 0:
             return x, np.zeros((0, x.shape[1]))
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 0:
-            xi = xi[None]
-        if xi.ndim == 1:
-            xi = xi[:, None]
+        xi = as_columns(xi)
         if xi.shape[0] != self.s:
             raise ValueError(f"xi has {xi.shape[0]} rows, symbol expects {self.s}")
         return x, xi

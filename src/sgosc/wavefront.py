@@ -301,6 +301,8 @@ class WfCell:
 class WfSet:
     """Labelled cells over the boundary of B^d x B^d."""
 
+    csv_header = ["y_kind", "y_coords", "q_kind", "q_coords", "label", "fitted_N"]
+
     def __init__(self, cells: List[WfCell], protocol: WfProtocol, u_scale: float):
         self.cells = cells
         self.protocol = protocol
@@ -311,12 +313,7 @@ class WfSet:
         return [c for c in self.cells if c.label in keep]
 
     def lookup(self, y: CompactPoint, q: CompactPoint) -> Optional[WfCell]:
-        best, bd = None, INF
-        for c in self.cells:
-            dd = pair_distance((c.y, c.q), (y, q))
-            if dd < bd:
-                best, bd = c, dd
-        return best
+        return min(self.cells, key=lambda c: pair_distance(c.pair(), (y, q)), default=None)
 
     def singular_positions(self, include_margin: bool = True) -> List[CompactPoint]:
         out = []
@@ -326,19 +323,12 @@ class WfSet:
         return out
 
     def to_csv_rows(self) -> List[list]:
-        rows = []
-        for c in self.cells:
-            rows.append(
-                [
-                    c.y.kind,
-                    " ".join(f"{v:.12g}" for v in c.y.coords),
-                    c.q.kind,
-                    " ".join(f"{v:.12g}" for v in c.q.coords),
-                    c.label,
-                    "inf" if c.fitted_N == INF else f"{c.fitted_N:.4g}",
-                ]
-            )
-        return rows
+        return [
+            c.y.csv_fields()
+            + c.q.csv_fields()
+            + [c.label, "inf" if c.fitted_N == INF else f"{c.fitted_N:.4g}"]
+            for c in self.cells
+        ]
 
     def summary(self) -> dict:
         return {

@@ -100,6 +100,17 @@ def test_distances_vanish_on_members():
     assert kg_spphi_distance(far, spec) > 0.2
 
 
+def test_distances_honour_n_arc():
+    """Both distances scan the geodesic arcs with n_arc points; two points
+    (the endpoints alone) miss the closer interior of the arc."""
+    spec = KgSpec(1.0, 3)
+    y = CompactPoint.finite([1.0, 2.0, 0.0, 0.0])
+    m_pair = (y, CompactPoint.direction([0.0, 1.0, 0.0]))
+    sp_pair = (y, CompactPoint.direction([-1.0, 0.0, 1.0, 0.0]))
+    assert kg_mphi_distance(m_pair, spec) < kg_mphi_distance(m_pair, spec, n_arc=2)
+    assert kg_spphi_distance(sp_pair, spec) < kg_spphi_distance(sp_pair, spec, n_arc=2)
+
+
 def test_catalog_phases_admissible_and_amplitudes_ordered():
     for name, kw in (("kg11", {}), ("sep-power", {"n": 1.0, "nu": 1.0})):
         phi = get_phase(name, **kw)

@@ -10,6 +10,7 @@ from sgosc.phase import (
     PhaseFn,
     boundary_pairs,
     build_mphi_grid,
+    build_spphi_grid,
     check_admissible,
     closure_violations,
     eta,
@@ -19,6 +20,7 @@ from sgosc.phase import (
     spphi_classify,
 )
 from sgosc.symbols import DEFAULT_PROTOCOL, parse_symbol_expr
+from sgosc.wavefront import WfSet
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -225,3 +227,29 @@ def test_csv_rows_shape(kg11):
     rows = mgrid.to_csv_rows()
     assert len(rows) == len(mgrid.samples)
     assert all(len(r) == 6 for r in rows)
+
+
+def test_grids_classify_cells_in_input_order(kg11):
+    """The grid builders return exactly the per-cell classifications, in the
+    order of their input pairs (the grid of the CLI's `n_dirs` 8 on kg11)."""
+    d_dirs, s_dirs = sphere_grid(kg11.d, 8), sphere_grid(kg11.s, 8)
+    m_pairs = boundary_pairs(d_dirs, s_dirs, [[0.0, 0.0]], [[0.0]])
+    sp_pairs = boundary_pairs(d_dirs, sphere_grid(kg11.d, 8), [[0.0, 0.0]], [[0.0, 0.0]])
+
+    def key(s):
+        return (s.point, s.classification, float(s.min_ratio).hex())
+
+    mgrid = build_mphi_grid(kg11, m_pairs)
+    assert [key(s) for s in mgrid.samples] == [
+        key(mphi_classify(kg11, p)) for p in m_pairs
+    ]
+    sgrid = build_spphi_grid(kg11, sp_pairs, mgrid)
+    assert [key(s) for s in sgrid.samples] == [
+        key(spphi_classify(kg11, p, mgrid)) for p in sp_pairs
+    ]
+    assert sgrid.lookup(sp_pairs[3]) is sgrid.samples[3]
+
+    pair = m_pairs[0]
+    assert build_mphi_grid(kg11, []).lookup(pair) is None
+    assert build_spphi_grid(kg11, [], mgrid).lookup(pair) is None
+    assert WfSet([], None, 1.0).lookup(*pair) is None
