@@ -252,49 +252,47 @@ def _geodesic_arc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 _RADII = np.concatenate([[1e-4], np.geomspace(1e-3, 1e4, 120)])
 _TAUS = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 120)])
+# The scans are arrays of shape (sign, arc point, parameter, coordinate).
+_SIGNS = np.array([1.0, -1.0])[:, None, None, None]
 
 
-def _minimax_over_family(bx, bq, x_of, q_of, thetas, params, signs=(1.0, -1.0)):
-    """min over (sign, param, theta) of max(|bx - x|, |bq - q|)."""
-    best = math.inf
-    for sg in signs:
-        for th in thetas:
-            xs = x_of(sg, params, th)  # (len(params), dim_x)
-            qs = q_of(sg, params, th)
-            dx = np.linalg.norm(xs - bx[None, :], axis=1)
-            dq = np.linalg.norm(qs - bq[None, :], axis=1)
-            best = min(best, float(np.min(np.maximum(dx, dq))))
-    return best
+def _ball(p):
+    """Finite points (coordinates in the last axis) in the open unit ball."""
+    return p / np.sqrt(1.0 + np.sum(p * p, axis=-1))[..., None]
 
 
-def _light_cone_positions(sg, rs, th):
-    pts = np.concatenate([(sg * rs)[:, None], rs[:, None] * th[None, :]], axis=1)
-    return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
+def _spacetime(t, v):
+    """Points (t, v) with the coordinates in the last axis; t broadcasts
+    against v without its last axis."""
+    out = np.empty(np.broadcast_shapes(np.shape(t), v.shape[:-1]) + (1 + v.shape[-1],))
+    out[..., 0] = t
+    out[..., 1:] = v
+    return out
 
 
-def _null_corner_positions(sg, rs, th):
-    return (np.concatenate([[sg], th]) / math.sqrt(2.0))[None, :]
+def _minimax(bx, bq, xs, qs):
+    """min over a broadcast family of max(|bx - x|, |bq - q|)."""
+    dx = np.linalg.norm(xs - bx, axis=-1)
+    dq = np.linalg.norm(qs - bq, axis=-1)
+    return float(np.min(np.maximum(dx, dq)))
 
 
-def _position_families_min(best, bx, bq, arcs, m, q_light, q_null, q_time):
-    """Running minimum of _minimax_over_family over the three position
-    families both sets share (light cone, null corner, timelike), each paired
-    with the set's covariable family, on each arc."""
-
-    def timelike(sg, ts, th):
-        om = np.sqrt(m * m + ts * ts)
-        pts = sg * np.concatenate([om[:, None], ts[:, None] * th[None, :]], axis=1)
-        return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-    families = (
-        (_light_cone_positions, q_light, _RADII),
-        (_null_corner_positions, q_null, np.array([1.0])),
-        (timelike, q_time, _TAUS),
-    )
-    for x_of, q_of, params in families:
-        for arc in arcs:
-            best = min(best, _minimax_over_family(bx, bq, x_of, q_of, arc, params))
-    return best
+def _position_families(bv, bw, n_arc, m):
+    """The positions both sets share, for both signs and every direction th
+    on the geodesic arcs from bv to +-bw: the light cone with its null corner
+    appended as the last radius, and the timelike hyperboloids.  Returns th
+    (1, A, 1, ds) and the two families (2, A, P, d).  At mass 0 the timelike
+    point at tau = 0 is 0/0; the callers put d_zero first in min(), which
+    then skips the NaN family, as the per-point scan did."""
+    th = np.concatenate([_geodesic_arc(bv, bw, n_arc), _geodesic_arc(bv, -bw, n_arc)])
+    th = th[None, :, None, :]
+    sg = _SIGNS[..., 0]
+    light = _ball(_spacetime(sg * _RADII, _RADII[:, None] * th))
+    null = _spacetime(sg, th) / math.sqrt(2.0)
+    om = np.sqrt(m * m + _TAUS * _TAUS)
+    timelike = _SIGNS * _spacetime(om, _TAUS[:, None] * th)
+    timelike = timelike / np.linalg.norm(timelike, axis=-1)[..., None]
+    return th, np.concatenate([light, null], axis=-2), timelike
 
 
 def kg_mphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
@@ -303,26 +301,19 @@ def kg_mphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
     parameter x geodesic arc between the two pulling directions x sign)."""
     bx = pair[0].ball_coords()
     bq = pair[1].ball_coords()
-    bxv = bx[1:]
 
     # x = 0 with every direction
     nq = np.linalg.norm(bq)
     d_zero = max(np.linalg.norm(bx), abs(1.0 - nq) if nq > 0 else 1.0)
 
-    # light-cone positions and the null corner with matched directions
-    def q_light(sg, rs, th):
-        return np.repeat((sg * th)[None, :], len(rs), axis=0)
-
-    def q_null(sg, rs, th):
-        return (sg * th)[None, :]
-
+    # light-cone positions and the null corner with matched directions,
     # timelike positions with finite covariables
-    def q_time(sg, ts, th):
-        pts = ts[:, None] * th[None, :]
-        return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
-
-    arcs = (_geodesic_arc(bxv, bq, n_arc), _geodesic_arc(bxv, -bq, n_arc))
-    return _position_families_min(d_zero, bx, bq, arcs, spec.mass, q_light, q_null, q_time)
+    th, cone, timelike = _position_families(bx[1:], bq, n_arc, spec.mass)
+    return min(
+        d_zero,
+        _minimax(bx, bq, cone, _SIGNS * th),
+        _minimax(bx, bq, timelike, _ball(_TAUS[:, None] * th)),
+    )
 
 
 def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
@@ -330,35 +321,25 @@ def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
     m = spec.mass
     by = pair[0].ball_coords()
     bq = pair[1].ball_coords()
-    byv = by[1:]
     bqv = bq[1:]
-    best = math.inf
 
     # y = 0 with the backward null covariable directions
     nqv = np.linalg.norm(bqv)
-    thq = bqv / nqv if nqv > 1e-12 else None
-    if thq is not None:
-        qpt = np.concatenate([[-1.0], thq]) / math.sqrt(2.0)
-        best = min(best, max(np.linalg.norm(by), np.linalg.norm(bq - qpt)))
+    if nqv > 1e-12:
+        qpt = np.concatenate([[-1.0], bqv / nqv]) / math.sqrt(2.0)
+        d_zero = max(np.linalg.norm(by), np.linalg.norm(bq - qpt))
     else:
-        best = min(best, max(np.linalg.norm(by), 1.0))
+        d_zero = max(np.linalg.norm(by), 1.0)
 
-    # light-cone positions and the null corner, backward null covariables
-    def q_light(sg, rs, th):
-        q = np.concatenate([[-1.0], sg * th]) / math.sqrt(2.0)
-        return np.repeat(q[None, :], len(rs), axis=0)
-
-    def q_null(sg, rs, th):
-        return (np.concatenate([[-1.0], sg * th]) / math.sqrt(2.0))[None, :]
-
-    # timelike positions with on-shell finite covariables
-    def q_time(sg, ts, th):
-        om = np.sqrt(m * m + ts * ts)
-        pts = np.concatenate([-om[:, None], ts[:, None] * th[None, :]], axis=1)
-        return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1))[:, None]
-
-    arcs = (_geodesic_arc(byv, bqv, n_arc), _geodesic_arc(byv, -bqv, n_arc))
-    return _position_families_min(best, by, bq, arcs, m, q_light, q_null, q_time)
+    # light-cone positions and the null corner with backward null
+    # covariables, timelike positions with on-shell finite covariables
+    th, cone, timelike = _position_families(by[1:], bqv, n_arc, m)
+    om = np.sqrt(m * m + _TAUS * _TAUS)
+    return min(
+        d_zero,
+        _minimax(by, bq, cone, _spacetime(-1.0, _SIGNS * th) / math.sqrt(2.0)),
+        _minimax(by, bq, timelike, _ball(_spacetime(-om, _TAUS[:, None] * th))),
+    )
 
 
 # -- mass-shell Fourier support check --------------------------------------------------

@@ -36,6 +36,15 @@ def as_columns(x) -> np.ndarray:
     return x
 
 
+def as_points(x, d: int) -> np.ndarray:
+    """x as a float array of points of R^d in columns, shape (d, B): a 1-D
+    array is a row of points when d = 1 and one point otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :] if d == 1 else x[:, None]
+    return x
+
+
 def project(x) -> np.ndarray:
     """Map into the open unit ball, x -> x/<x>."""
     x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .compactify import as_columns, japanese_bracket
+from .compactify import as_columns, as_points, japanese_bracket
 from .jets import base_points, norm2_jet
 from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, adaptive_tensor
 from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
@@ -97,9 +97,7 @@ class HalfOperator:
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
         """Pointwise values at out_points (d_out, B) by composite quadrature
         over y, with panel doubling until the change is below tol."""
-        pts = np.asarray(out_points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :] if self.d_out == 1 else pts[:, None]
+        pts = as_points(out_points, self.d_out)
         if self.is_fourier:
             return self._fourier_apply(f, pts, tol)
         freq = float(
@@ -203,9 +201,7 @@ class ComposedOperator:
     grid_n: int = 384
 
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
-        pts = np.asarray(out_points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :] if self.outer.d_out == 1 else pts[:, None]
+        pts = as_points(out_points, self.outer.d_out)
         dxi = 2.0 * self.grid_max / self.grid_n
         xi = (-self.grid_max + (np.arange(self.grid_n) + 0.5) * dxi)[None, :]
         inner_vals = self.inner.apply(f, xi, tol=tol)

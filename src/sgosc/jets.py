@@ -264,10 +264,10 @@ class Jet:
         return self.compose(_series_exp(self.value, self.order))
 
     def sin(self) -> "Jet":
-        return self.compose(_series_sin(self.value, self.order))
+        return self.compose(_series_sincos(self.value, self.order, 0))
 
     def cos(self) -> "Jet":
-        return self.compose(_series_cos(self.value, self.order))
+        return self.compose(_series_sincos(self.value, self.order, 1))
 
     def sqrt(self) -> "Jet":
         return self.compose(_series_power(self.value, self.order, 0.5))
@@ -293,21 +293,14 @@ def _series_exp(u0, order):
     return out
 
 
-def _series_sin(u0, order):
+def _series_sincos(u0, order, shift):
+    """sin at shift 0, cos at shift 1: the derivatives of sin cycle through
+    s, c, -s, -c, and those of cos a quarter-turn later."""
     s, c = np.sin(u0), np.cos(u0)
     cyc = [s, c, -s, -c]
     out = np.empty((order + 1,) + u0.shape, dtype=complex)
     for j in range(order + 1):
-        out[j] = cyc[j % 4] / math.factorial(j)
-    return out
-
-
-def _series_cos(u0, order):
-    s, c = np.sin(u0), np.cos(u0)
-    cyc = [c, -s, -c, s]
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
-    for j in range(order + 1):
-        out[j] = cyc[j % 4] / math.factorial(j)
+        out[j] = cyc[(j + shift) % 4] / math.factorial(j)
     return out
 
 

@@ -122,39 +122,23 @@ class RegularizerP:
         live = t0 > self.R
         sp_hi = vhigh[0].space
         batch = vhigh[0].batch
-
-        def masked(term_builder):
-            out = np.zeros((sp_hi.ncoef, batch), dtype=complex)
-            if np.any(live):
-                out[:, live] = term_builder(live).c
-            return Jet(sp_hi, out)
-
-        def one_minus_chi_einv(mask):
-            eta_l = eta_j.columns(mask)
+        einv = None  # (1 - chi)/eta on the live columns
+        if np.any(live):
+            eta_l = eta_j.columns(live)
             if np.any(np.abs(eta_l.value) < 1e-12):
                 raise RegularizerRefused(
                     "eta vanishes outside the chi=1 region; enlarge R"
                 )
-            return (1.0 - chi_hi.columns(mask)) * eta_l.recip()
+            einv = (1.0 - chi_hi.columns(live)) * eta_l.recip()
 
-        u = [
-            masked(
-                lambda m, j=j: one_minus_chi_einv(m)
-                * bk2.columns(m)
-                * gk[j].columns(m)
-                * 1j
-            )
-            for j in range(s)
-        ]
-        v = [
-            masked(
-                lambda m, k=k: one_minus_chi_einv(m)
-                * bx2.columns(m)
-                * gx[k].columns(m)
-                * 1j
-            )
-            for k in range(d)
-        ]
+        def masked(bracket2, grad):
+            out = np.zeros((sp_hi.ncoef, batch), dtype=complex)
+            if einv is not None:
+                out[:, live] = (einv * bracket2.columns(live) * grad.columns(live) * 1j).c
+            return Jet(sp_hi, out)
+
+        u = [masked(bk2, g) for g in gk]
+        v = [masked(bx2, g) for g in gx]
         w = chi_hi.truncate(order)
         for j in range(s):
             w = w + u[j].derivative(d + j)

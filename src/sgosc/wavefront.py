@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compactify import CompactPoint, ball_distance, pair_distance, sphere_grid
+from .compactify import CompactPoint, as_points, ball_distance, pair_distance, sphere_grid
 from .windows import edge_taper, gaussian_window, logradial_window
 
 INF = math.inf
@@ -43,10 +43,7 @@ class EvaluableDistribution:
         self.source = source
 
     def values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :] if self.d == 1 else X[:, None]
-        return np.asarray(self.evaluator(X), dtype=complex)
+        return np.asarray(self.evaluator(as_points(X, self.d)), dtype=complex)
 
     def ft(self) -> "EvaluableDistribution":
         if self.analytic_ft is None:
@@ -367,10 +364,7 @@ class _FourierContext:
         dp = freqs[1] - freqs[0]
 
         def interp(P: np.ndarray) -> np.ndarray:
-            P = np.asarray(P, dtype=float)
-            if P.ndim == 1:
-                P = P[None, :] if d == 1 else P[:, None]
-            t = (P - freqs[0]) / dp
+            t = (as_points(P, d) - freqs[0]) / dp
             i0 = np.clip(np.floor(t).astype(int), 0, len(freqs) - 2)
             fr = np.clip(t - i0, 0.0, 1.0)
             if d == 1:

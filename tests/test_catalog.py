@@ -111,6 +111,55 @@ def test_distances_honour_n_arc():
     assert kg_spphi_distance(sp_pair, spec) < kg_spphi_distance(sp_pair, spec, n_arc=2)
 
 
+# (ds, n_arc, y, M covariable, SP covariable, M distance, SP distance); points
+# are ("f", coords) for finite and ("b", vector) for boundary directions.
+_PINNED_DISTANCES = [
+    # generic arcs
+    (3, 80, ("f", [0.5, 1.0, -0.3, 0.2]), ("b", [0.2, 0.9, -0.4]), ("b", [-0.6, 0.3, 0.5, -0.2]),
+     "0x1.3b5d3d21edcb1p-1", "0x1.e93ffb72381d7p-2"),
+    (3, 80, ("b", [-1.0, 0.5, 0.5, 0.0]), ("f", [0.3, -1.2, 0.8]), ("f", [-1.4, 0.3, -1.2, 0.8]),
+     "0x1.c81835209ed5ep-2", "0x1.8e57b4ef1fef0p-2"),
+    # antipodal arcs (and, with n_arc = 3, an arc of one direction)
+    (3, 80, ("f", [0.4, 1.0, 2.0, 0.0]), ("f", [-2.0, -4.0, 0.0]), ("f", [0.3, -2.0, -4.0, 0.0]),
+     "0x1.808bc66f8b7a1p-1", "0x1.a26595d617ee2p-1"),
+    (3, 3, ("f", [0.4, 1.0, 2.0, 0.0]), ("b", [-1.0, -2.0, 0.0]), ("b", [-0.5, -1.0, -2.0, 0.0]),
+     "0x1.808bc66f8b7a1p-1", "0x1.808bc66f8b7a1p-1"),
+    # zero spatial position, zero covariable, both zero
+    (3, 80, ("f", [1.5, 0.0, 0.0, 0.0]), ("b", [0.0, 1.0, 0.0]), ("b", [-0.7, 0.0, 1.0, 0.0]),
+     "0x1.f2642fa1aa980p-2", "0x1.ee23a4ab1ea27p-2"),
+    (3, 80, ("f", [0.5, 1.0, -0.3, 0.2]), ("f", [0.0, 0.0, 0.0]), ("f", [0.7, 0.0, 0.0, 0.0]),
+     "0x1.2c9f072321528p-1", "0x1.0000000000000p+0"),
+    (3, 80, ("b", [1.0, 0.0, 0.0, 0.0]), ("f", [0.0, 0.0, 0.0]), ("b", [-1.0, 0.0, 0.0, 0.0]),
+     "0x0.0p+0", "0x1.2bec333018868p-2"),
+    # the arc endpoints alone
+    (3, 2, ("f", [1.0, 2.0, 0.0, 0.0]), ("b", [0.0, 1.0, 0.0]), ("b", [-1.0, 0.0, 1.0, 0.0]),
+     "0x1.bb78c2eafb26fp-1", "0x1.7e3d77cfc30fcp-1"),
+    # one spatial dimension
+    (1, 80, ("f", [1.0, 1.0]), ("b", [1.0]), ("b", [-1.0, 1.0]),
+     "0x0.0p+0", "0x1.6a09e667f3bcdp-53"),
+    (1, 80, ("f", [0.3, -2.0]), ("f", [0.5]), ("f", [-1.2, 0.5]),
+     "0x1.71156108fc5c7p-1", "0x1.71156108fc5c7p-1"),
+    (1, 2, ("b", [0.6, -0.8]), ("f", [0.0]), ("f", [0.0, 0.0]),
+     "0x1.fcad962a193dcp-2", "0x1.70baa88d1173dp-1"),
+]
+
+
+def test_distances_pinned_on_every_arc_branch():
+    """The distances are exact: every geodesic-arc branch (generic,
+    antipodal, a zero vector, both zero, one spatial dimension) keeps the
+    bits of the per-arc-point scan it replaced."""
+
+    def point(kind, coords):
+        return CompactPoint.finite(coords) if kind == "f" else CompactPoint.direction(coords)
+
+    for ds, n_arc, y, w, q, m_hex, sp_hex in _PINNED_DISTANCES:
+        spec = KgSpec(1.0, ds)
+        m_pair = (point(*y), point(*w))
+        sp_pair = (point(*y), point(*q))
+        assert float(kg_mphi_distance(m_pair, spec, n_arc=n_arc)).hex() == m_hex, m_pair
+        assert float(kg_spphi_distance(sp_pair, spec, n_arc=n_arc)).hex() == sp_hex, sp_pair
+
+
 def test_catalog_phases_admissible_and_amplitudes_ordered():
     for name, kw in (("kg11", {}), ("sep-power", {"n": 1.0, "nu": 1.0})):
         phi = get_phase(name, **kw)

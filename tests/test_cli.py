@@ -71,6 +71,29 @@ def test_eval_oscint_with_oracle(tmp_path, capsys):
     assert diff < 1e-5
 
 
+def test_readme_eval_oscint_example_matches_oracle(tmp_path, capsys):
+    """The README's eval-oscint example runs and agrees with its oracle."""
+    code = run(
+        {
+            "command": "eval-oscint",
+            "phase": "sep-power",
+            "amplitude": "gauss",
+            "testfn": "gauss",
+            "r": 2,
+            "box": [6, 6],
+            "tol": 1e-8,
+            "oracle": True,
+            "out": str(tmp_path / "result.json"),
+        }
+    )
+    assert code == 0
+    res = json.loads((tmp_path / "result.json").read_text())
+    diff = abs(complex(res["value_re"], res["value_im"]) - complex(
+        res["oracle"]["value_re"], res["oracle"]["value_im"]
+    ))
+    assert diff < 1e-7
+
+
 def test_kg_subcommand_writes_csv(tmp_path):
     out = tmp_path / "u.csv"
     code = main(["kg", "--t", "0.5", "--mass", "1", "--c", "1", "--grid=-4:4:17", "--out", str(out)])
