@@ -33,6 +33,10 @@ class KgSpec:
     mass: float = 1.0
     spatial_dim: int = 3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+
     @property
     def d(self) -> int:
         return self.spatial_dim + 1
@@ -281,9 +285,7 @@ def _position_families(bv, bw, n_arc, m):
     """The positions both sets share, for both signs and every direction th
     on the geodesic arcs from bv to +-bw: the light cone with its null corner
     appended as the last radius, and the timelike hyperboloids.  Returns th
-    (1, A, 1, ds) and the two families (2, A, P, d).  At mass 0 the timelike
-    point at tau = 0 is 0/0; the callers put d_zero first in min(), which
-    then skips the NaN family, as the per-point scan did."""
+    (1, A, 1, ds) and the two families (2, A, P, d)."""
     th = np.concatenate([_geodesic_arc(bv, bw, n_arc), _geodesic_arc(bv, -bw, n_arc)])
     th = th[None, :, None, :]
     sg = _SIGNS[..., 0]

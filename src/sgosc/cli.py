@@ -60,7 +60,7 @@ _SCHEMAS = {
             "phase": {"type": "string"},
             "dims": {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
             "order": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-            "mass": {"type": "number"},
+            "mass": {"type": "number", "exclusiveMinimum": 0},
             "out": {"type": "string"},
         },
     },
@@ -72,7 +72,7 @@ _SCHEMAS = {
             "phase": {"type": "string"},
             "dims": {"type": "array"},
             "order": {"type": "array"},
-            "mass": {"type": "number"},
+            "mass": {"type": "number", "exclusiveMinimum": 0},
             "grid": {"type": "object"},
             "protocol": {"type": "object"},
             "out_csv": {"type": "string"},
@@ -87,7 +87,7 @@ _SCHEMAS = {
             "phase": {"type": "string"},
             "dims": {"type": "array"},
             "order": {"type": "array"},
-            "mass": {"type": "number"},
+            "mass": {"type": "number", "exclusiveMinimum": 0},
             "grid": {"type": "object"},
             "protocol": {"type": "object"},
             "out_csv": {"type": "string"},

@@ -10,14 +10,13 @@ asymptotics anywhere: oscillation is handled by subdivision.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .compactify import as_columns, japanese_bracket, smoothstep_jet
+from .compactify import as_columns, japanese_bracket, smoothstep, smoothstep_jet
 from .jets import Jet, jet_variables, norm2_jet
 from .phase import PhaseFn, require_admissible
 from .regularize import RegularizerP, apply_P_r, build_P, q_step
@@ -98,27 +97,56 @@ _RULES = {nd: _tensor_rule(nd) for nd in (1, 2, 3)}
 MAX_NODES_PER_CALL = 32768
 
 
-def _eval_cells(f, cells, nd):
+# Cells split per refinement round, worst first.
+REFINE_BATCH = 8
+
+
+def _eval_cells(f, los, his):
+    """Kronrod values and |Kronrod - Gauss| errors of the cells [los[i],
+    his[i]]; raises NonConvergenceError naming the first non-finite cell."""
+    ncell, nd = los.shape
     nodes, wk, gmask, wgg = _RULES[nd]
     npts = nodes.shape[1]
-    los = np.array([c[0] for c in cells])  # (ncell, nd)
-    his = np.array([c[1] for c in cells])
     half = 0.5 * (his - los)  # (ncell, nd)
     mid = 0.5 * (his + los)
     # f sees whole cells, at most MAX_NODES_PER_CALL nodes at a time
     step = max(1, MAX_NODES_PER_CALL // npts)
     chunks = []
-    for lo in range(0, len(cells), step):
+    for lo in range(0, ncell, step):
         sl = slice(lo, lo + step)
         # (nd, ncell, npts)
         X = mid[sl].T[:, :, None] + half[sl].T[:, :, None] * nodes[:, None, :]
         chunks.append(f(X.reshape(nd, -1)))
-    vals = np.concatenate(chunks).reshape(len(cells), npts)
+    vals = np.concatenate(chunks).reshape(ncell, npts)
     jac = np.prod(half, axis=1)
     i15 = vals @ wk * jac
     i7 = vals[:, gmask] @ wgg * jac
     err = np.abs(i15 - i7)
+    bad = np.flatnonzero(~np.isfinite(err))  # a non-finite i15 or i7 makes err so
+    if bad.size:
+        raise NonConvergenceError(
+            "non-finite integrand value", _cell_json(los, his, i15, err, bad[0])
+        )
     return i15, err
+
+
+def _cell_json(los, his, vals, errs, i) -> dict:
+    v = complex(vals[i])
+    return {
+        "lo": los[i].tolist(),
+        "hi": his[i].tolist(),
+        "value_re": v.real,
+        "value_im": v.imag,
+        "error": float(errs[i]),
+    }
+
+
+def _worst(errs, k):
+    """Indices of the k largest errors, worst first, older cell first on ties."""
+    cand = np.arange(len(errs))
+    if len(errs) > k:
+        cand = np.flatnonzero(errs >= np.partition(errs, len(errs) - k)[len(errs) - k])
+    return cand[np.argsort(-errs[cand], kind="stable")[:k]]
 
 
 def adaptive_tensor(
@@ -129,86 +157,61 @@ def adaptive_tensor(
     tol_rel: float = 1e-9,
     max_cells: int = 20000,
     initial_splits: Optional[Sequence[int]] = None,
-    refine_batch: int = 8,
 ):
     """Adaptive tensor Gauss-Kronrod over a box; f maps (nd, B) -> (B,).
 
-    Returns (value, error_estimate, n_evaluations).  Deterministic: cells are
-    refined worst-first with ties broken by insertion order."""
+    Returns (value, error_estimate, n_evaluations).  Deterministic: the cells
+    are kept in creation order, totals are summed in that order, and each
+    round splits the REFINE_BATCH worst cells, older first on ties."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     nd = len(lo)
     if nd not in _RULES:
         raise ValueError("adaptive_tensor supports 1 to 3 dimensions")
-    splits = (
-        np.maximum(1, np.asarray(initial_splits, dtype=int))
-        if initial_splits is not None
-        else np.full(nd, 2)
-    )
+    if initial_splits is None:
+        initial_splits = [2] * nd
+    splits = np.maximum(1, np.asarray(initial_splits, dtype=int))
+    idx = np.indices(splits).reshape(nd, -1)  # C order: last axis fastest
     edges = [np.linspace(lo[i], hi[i], splits[i] + 1) for i in range(nd)]
-    cells = []
-    idx = np.zeros(nd, dtype=int)
+    los = np.stack([edges[i][idx[i]] for i in range(nd)], axis=1)
+    his = np.stack([edges[i][idx[i] + 1] for i in range(nd)], axis=1)
+    vals, errs = _eval_cells(f, los, his)
+    npts = _RULES[nd][0].shape[1]
+    nev = len(los) * npts
     while True:
-        cl = np.array([edges[i][idx[i]] for i in range(nd)])
-        ch = np.array([edges[i][idx[i] + 1] for i in range(nd)])
-        cells.append((cl, ch))
-        j = nd - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < splits[j]:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-    vals, errs = _eval_cells(f, cells, nd)
-    nev = len(cells) * _RULES[nd][0].shape[1]
-    heap = [(-errs[i], i) for i in range(len(cells))]
-    heapq.heapify(heap)
-    store = {i: (cells[i], vals[i], errs[i]) for i in range(len(cells))}
-    next_id = len(cells)
-    while True:
-        total = sum(v for (_, v, _) in store.values())
-        toterr = sum(e for (_, _, e) in store.values())
+        # left to right from 0 as builtin sum does, so -0.0 totals read +0.0
+        total = np.add.accumulate(vals)[-1] + 0.0
+        toterr = np.add.accumulate(errs)[-1] + 0.0
         if toterr <= max(tol_abs, tol_rel * abs(total)):
             return total, toterr, nev
-        if len(store) >= max_cells:
+        if len(los) >= max_cells:
             raise NonConvergenceError(
                 "quadrature subdivision budget exhausted",
                 {
-                    "cells": len(store),
+                    "cells": len(los),
                     "error": float(toterr),
                     "value_re": float(total.real),
                     "value_im": float(total.imag),
                     "tol_abs": tol_abs,
                     "tol_rel": tol_rel,
+                    "worst_cells": [_cell_json(los, his, vals, errs, i) for i in _worst(errs, 5)],
                 },
             )
-        picked = []
-        while heap and len(picked) < refine_batch:
-            _, i = heapq.heappop(heap)
-            if i in store:
-                picked.append(i)
-        if not picked:
-            return total, toterr, nev
-        children = []
-        for i in picked:
-            (cl, ch), _, _ = store[i]
-            ax = int(np.argmax(ch - cl))
-            mzr = 0.5 * (cl[ax] + ch[ax])
-            c1h = ch.copy()
-            c1h[ax] = mzr
-            c2l = cl.copy()
-            c2l[ax] = mzr
-            children.append((cl, c1h))
-            children.append((c2l, ch))
-            del store[i]
-        vals, errs = _eval_cells(f, children, nd)
-        nev += len(children) * _RULES[nd][0].shape[1]
-        for j, cell in enumerate(children):
-            store[next_id] = (cell, vals[j], errs[j])
-            heapq.heappush(heap, (-errs[j], next_id))
-            next_id += 1
+        # split the worst cells on their longest axis: children in pick
+        # order, the lower half before the upper half
+        picked = _worst(errs, REFINE_BATCH)
+        clos, chis = np.repeat(los[picked], 2, axis=0), np.repeat(his[picked], 2, axis=0)
+        r = np.arange(len(clos))
+        ax = np.argmax(chis - clos, axis=1)
+        mid = 0.5 * (clos[r, ax] + chis[r, ax])
+        chis[r[::2], ax[::2]] = mid[::2]
+        clos[r[1::2], ax[1::2]] = mid[1::2]
+        cvals, cerrs = _eval_cells(f, clos, chis)
+        nev += len(clos) * npts
+        los = np.concatenate([np.delete(los, picked, axis=0), clos])
+        his = np.concatenate([np.delete(his, picked, axis=0), chis])
+        vals = np.concatenate([np.delete(vals, picked), cvals])
+        errs = np.concatenate([np.delete(errs, picked), cerrs])
 
 
 # -- Schwartz test functions ------------------------------------------------------
@@ -532,7 +535,8 @@ def eval_pointwise(
     def inner_integrand(K):
         X = np.repeat(x[:, None], K.shape[1], axis=1)
         r = np.linalg.norm(K, axis=0)
-        chi = 1.0 - _radial_step_values(r, R_in, R_in + 1.0)
+        # not smoothstep(...) alone: 1 - (1 - s) rounds differently from s
+        chi = 1.0 - (1.0 - smoothstep(r, R_in, R_in + 1.0))
         return np.exp(1j * phi.value(X, K)) * a.value(X, K) * chi
 
     def outer_integrand(K):
@@ -557,12 +561,6 @@ def eval_pointwise(
         outer_integrand, [-xi_box] * s, [xi_box] * s, tol_abs=tol / 10, tol_rel=tol
     )
     return v1 + v2
-
-
-def _radial_step_values(r, lo, hi):
-    from .compactify import smoothstep
-
-    return 1.0 - smoothstep(r, lo, hi)
 
 
 def _q_pow_apply(phi: PhaseFn, a: SymbolFn, X, K, k: int, R_in: float) -> np.ndarray:

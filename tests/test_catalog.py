@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +197,11 @@ def test_kg_ft_support_check():
     assert last["off_shell_regular"]
     cellw = 2 * math.pi / 16 + 0.05
     assert last["worst_oracle_distance"] <= cellw
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+def test_kgspec_refuses_nonpositive_mass(mass):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mass"):
+            KgSpec(mass, 3)

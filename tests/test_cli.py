@@ -42,6 +42,12 @@ def test_malformed_order_field_exits_2(capsys):
     assert err["pointer"] == "/order"
 
 
+def test_check_phase_kg11_mass_zero_exits_2(capsys):
+    code = run({"command": "check-phase", "phase": "kg11", "mass": 0.0})
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == "/mass"
+
+
 def test_unknown_command_exits_2(capsys):
     assert run({"command": "frobnicate"}) == 2
 

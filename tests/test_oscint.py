@@ -163,9 +163,79 @@ def test_nonconvergence_diagnostic():
     def nasty(X):
         return np.cos(200.0 * X[0] ** 2)
 
+    def worst_cells():
+        with pytest.raises(NonConvergenceError) as ei:
+            adaptive_tensor(nasty, [-6], [6], tol_abs=1e-14, tol_rel=1e-14, max_cells=40)
+        diag = ei.value.diagnostic
+        assert diag["cells"] == 40
+        return diag, diag["worst_cells"]
+
+    diag, worst = worst_cells()
+    assert len(worst) == 5
+    for c in worst:
+        assert set(c) == {"lo", "hi", "value_re", "value_im", "error"}
+        assert -6.0 <= c["lo"][0] < c["hi"][0] <= 6.0
+        assert c["value_im"] == 0.0
+    errors = [c["error"] for c in worst]
+    assert errors == sorted(errors, reverse=True)
+    assert sum(errors) <= diag["error"]
+    # the cells are disjoint, and a second run reports the same ones
+    spans = sorted((c["lo"][0], c["hi"][0]) for c in worst)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    assert worst_cells()[1] == worst
+
+
+# inf - inf in the Kronrod-Gauss difference is the expected numpy warning
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_integrand_fails_fast(bad):
+    calls = []
+
+    def f(X):
+        calls.append(X.shape[1])
+        out = np.exp(-X[0] ** 2)
+        out[7] = bad
+        return out
+
+    with pytest.raises(NonConvergenceError, match="non-finite") as ei:
+        adaptive_tensor(f, [-4.0], [4.0], initial_splits=[3])
+    assert len(calls) == 1
+    # node 7 is the midpoint of the first cell
+    assert ei.value.diagnostic["lo"] == [-4.0]
+    assert ei.value.diagnostic["hi"][0] == pytest.approx(-4.0 / 3.0)
+
+
+def test_adaptive_tensor_pinned():
+    """Value, error and node count, bit for bit, so that the refinement
+    order (worst first, older cell first on ties) and the summation order
+    (left to right in creation order) cannot drift."""
+
+    def pinned(f, lo, hi, tol, splits=None):
+        v, e, n = adaptive_tensor(f, lo, hi, tol_abs=tol, tol_rel=tol, initial_splits=splits)
+        v = complex(v)
+        return v.real.hex(), v.imag.hex(), float(e).hex(), n
+
+    assert pinned(lambda X: np.exp(-X[0] ** 2), [-10], [10], 1e-12) == (
+        "0x1.c5bf891b4ef54p+0", "0x0.0p+0", "0x1.cb5c210e2ff26p-48", 690
+    )
+    # the initial cells' errors tie bitwise in mirror-image pairs
+    assert pinned(lambda X: np.exp(-X[0] ** 2 - X[1] ** 2), [-5, -5], [5, 5], 1e-12) == (
+        "0x1.921fb5443d7fep+1", "0x0.0p+0", "0x1.9b54d5a04e0f0p-39", 42300
+    )
+    gauss3 = lambda X: np.exp(-np.sum(X * X, axis=0))
+    assert pinned(gauss3, [-3] * 3, [3] * 3, 1e-10, [3, 3, 3]) == (
+        "0x1.645970a2fdd26p+2", "0x0.0p+0", "0x1.01cf416140000p-32", 901125
+    )
+    assert pinned(lambda X: np.exp(1j * X[0] * X[1]), [-3, -2], [3, 2], 1e-10, [5, 4]) == (
+        "0x1.6cb852c7c49fcp+2", "-0x1.8000000000000p-51", "0x1.5d1c2fdee8ea7p-41", 4500
+    )
     with pytest.raises(NonConvergenceError) as ei:
-        adaptive_tensor(nasty, [-6], [6], tol_abs=1e-14, tol_rel=1e-14, max_cells=40)
-    assert "cells" in ei.value.diagnostic
+        adaptive_tensor(
+            lambda X: np.cos(200.0 * X[0] ** 2), [-6], [6], tol_abs=1e-14, tol_rel=1e-14, max_cells=40
+        )
+    diag = ei.value.diagnostic
+    assert diag["value_re"].hex() == "0x1.6c0d57aaa6e43p-4"
+    assert diag["error"].hex() == "0x1.505cf8c111c8fp-1"
 
 
 def test_quadrature_on_known_integral():
