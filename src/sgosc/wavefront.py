@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .compactify import CompactPoint, as_points, ball_distance, pair_distance, sphere_grid
-from .windows import edge_taper, gaussian_window, logradial_window
+from .windows import cone_geometry, edge_taper, gaussian_window, logradial_window
 
 INF = math.inf
 
@@ -51,11 +52,26 @@ class EvaluableDistribution:
         return self.analytic_ft
 
 
+def _bilinear(V: np.ndarray, i0: np.ndarray, fr: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of the 1-D or 2-D array V at lattice cells
+    i0 (d, m) with in-cell fractions fr (d, m)."""
+    if len(i0) == 1:
+        return V[i0[0]] * (1 - fr[0]) + V[i0[0] + 1] * fr[0]
+    return (
+        V[i0[0], i0[1]] * (1 - fr[0]) * (1 - fr[1])
+        + V[i0[0] + 1, i0[1]] * fr[0] * (1 - fr[1])
+        + V[i0[0], i0[1] + 1] * (1 - fr[0]) * fr[1]
+        + V[i0[0] + 1, i0[1] + 1] * fr[0] * fr[1]
+    )
+
+
 def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> EvaluableDistribution:
     """Wrap precomputed grid values (n,)*d on [-L, L)^d as an evaluable
     distribution; multilinear interpolation inside, zero outside."""
     vals = np.asarray(values, dtype=complex)
     d = vals.ndim
+    if d > 2:
+        raise ValueError("grid distributions support d <= 2")
     n = vals.shape[0]
     dx = 2.0 * L / n
     x0 = -L + 0.5 * dx
@@ -69,23 +85,7 @@ def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> Ev
         inside = np.all((i0 >= 0) & (i0 < n - 1), axis=0)
         if not np.any(inside):
             return out
-        ii = i0[:, inside]
-        ff = frac[:, inside]
-        if d == 1:
-            out[inside] = vals[ii[0]] * (1 - ff[0]) + vals[ii[0] + 1] * ff[0]
-        elif d == 2:
-            v00 = vals[ii[0], ii[1]]
-            v10 = vals[ii[0] + 1, ii[1]]
-            v01 = vals[ii[0], ii[1] + 1]
-            v11 = vals[ii[0] + 1, ii[1] + 1]
-            out[inside] = (
-                v00 * (1 - ff[0]) * (1 - ff[1])
-                + v10 * ff[0] * (1 - ff[1])
-                + v01 * (1 - ff[0]) * ff[1]
-                + v11 * ff[0] * ff[1]
-            )
-        else:
-            raise ValueError("grid distributions support d <= 2")
+        out[inside] = _bilinear(vals, i0[:, inside], frac[:, inside])
         return out
 
     return EvaluableDistribution(d, evaluator, source=source)
@@ -118,6 +118,20 @@ class WfProtocol:
     rho_lo: float = 0.5
     rho_max_frac: float = 0.7
 
+    def __post_init__(self):
+        if not self.sigmas:
+            raise ValueError("WfProtocol.sigma_classical needs at least one width")
+        names = (
+            "box", "ngrid", "tau_radial", "alpha_angular", "r_lo", "rho_lo", "floor",
+            "samples_per_octave",
+        )
+        checked = [(k, getattr(self, k)) for k in names]
+        for name, v in checked + [("sigma_classical", s) for s in self.sigmas]:
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+                raise ValueError(f"WfProtocol.{name} must be finite and > 0, got {v!r}")
+        if not self.r_values().size:
+            raise ValueError(f"WfProtocol.r_lo {self.r_lo!r} exceeds r_max = 0.6 * box")
+
     @classmethod
     def make(
         cls,
@@ -146,6 +160,12 @@ class WfProtocol:
             finite_q=tuple(tuple(c) for c in finite_q),
             **kw,
         )
+
+    @property
+    def sigmas(self) -> tuple:
+        """The classical window widths (a scalar sigma_classical is one)."""
+        s = self.sigma_classical
+        return tuple(s) if isinstance(s, (tuple, list)) else (s,)
 
     @property
     def dx(self) -> float:
@@ -366,16 +386,7 @@ class _FourierContext:
         def interp(P: np.ndarray) -> np.ndarray:
             t = (as_points(P, d) - freqs[0]) / dp
             i0 = np.clip(np.floor(t).astype(int), 0, len(freqs) - 2)
-            fr = np.clip(t - i0, 0.0, 1.0)
-            if d == 1:
-                return Wabs[i0[0]] * (1 - fr[0]) + Wabs[i0[0] + 1] * fr[0]
-            v = (
-                Wabs[i0[0], i0[1]] * (1 - fr[0]) * (1 - fr[1])
-                + Wabs[i0[0] + 1, i0[1]] * fr[0] * (1 - fr[1])
-                + Wabs[i0[0], i0[1] + 1] * (1 - fr[0]) * fr[1]
-                + Wabs[i0[0] + 1, i0[1] + 1] * fr[0] * fr[1]
-            )
-            return v
+            return _bilinear(Wabs, i0, np.clip(t - i0, 0.0, 1.0))
 
         return interp
 
@@ -395,107 +406,78 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
     floor_abs = p.floor * max(1.0, ctx.u_scale)
     cells: List[WfCell] = []
 
+    def cell(y, q, kind, families, scales, lo):
+        """Decide one cell from its window families, each an (amplitude,
+        profiles) pair: fit every profile's octave maxima over scales from
+        lo, then let a family collapse override the largest fit."""
+        Ns = [
+            fit_decay_exponent(*octave_maxima(scales, prof, lo), floor_abs)
+            for _, profiles in families
+            for prof in profiles
+        ]
+        amps = [float(amp) for amp, _ in families]
+        N = _collapse_or_max(Ns, amps, p, floor_abs) if Ns else INF
+        cells.append(WfCell(y, q, _label(N, p), N, kind))
+
     # classical windows: a cell is regular as soon as one tested window
     # width certifies rapid decay (the existential cutoff quantifier)
     rho = p.rho_dense()
-    sigmas = (
-        p.sigma_classical
-        if isinstance(p.sigma_classical, (tuple, list))
-        else (p.sigma_classical,)
-    )
     for y in p.classical_centers:
-        interps = [ctx.windowed_abs(gaussian_window(ctx.X, y, sg)) for sg in sigmas]
+        interps = [ctx.windowed_abs(gaussian_window(ctx.X, y, sg)) for sg in p.sigmas]
         for qd in p.q_dirs:
             pts = np.outer(np.asarray(qd), rho)
-            Ns, amps = [], []
-            for interp in interps:
-                vals = interp(pts)
-                amps.append(float(vals.max()))
-                cents, maxes = octave_maxima(rho, vals, p.rho_lo)
-                Ns.append(fit_decay_exponent(cents, maxes, floor_abs))
-            N = _collapse_or_max(Ns, amps, p, floor_abs)
-            cells.append(
-                WfCell(
-                    CompactPoint.finite(y),
-                    CompactPoint.direction(qd),
-                    _label(N, p),
-                    N,
-                    "classical",
-                )
-            )
+            profiles = [itp(pts) for itp in interps]
+            families = [(prof.max(), [prof]) for prof in profiles]
+            cell(CompactPoint.finite(y), CompactPoint.direction(qd), "classical",
+                 families, rho, p.rho_lo)
 
     # radial windows per direction, swept jointly over log-width and angular
     # aperture: any window family certifying rapid decay makes the cell
     # regular (the cutoffs in the definitions are existentially quantified)
     rvals = p.r_values()
-    r_subsets = (
-        tuple(p.r_subsets)
-        if p.r_subsets
-        else tuple(
-            sorted({rvals[0], rvals[len(rvals) // 2], rvals[-1]})
-        )
-    )
+    r_subsets = p.r_subsets or sorted({rvals[0], rvals[len(rvals) // 2], rvals[-1]})
+    # corner profiles: maxima over the window radii >= R, per tested R
+    selections = [sel for sel in (rvals >= R - 1e-9 for R in r_subsets) if np.any(sel)]
     shapes = (
         (p.tau_radial, p.alpha_angular),
         (0.5 * p.tau_radial, 0.5 * p.alpha_angular),
         (0.25 * p.tau_radial, 0.25 * p.alpha_angular),
     )
     for wd in p.x_dirs:
+        geom = cone_geometry(ctx.X, wd)
+        # rebound before it is refilled, so that only one direction's
+        # windowed magnitudes are alive at a time
         fam = []
         for tau, alpha in shapes:
             fam.append(
-                [
-                    ctx.windowed_abs(logradial_window(ctx.X, wd, r, tau, alpha))
-                    for r in rvals
-                ]
+                [ctx.windowed_abs(logradial_window(geom, r, tau, alpha)) for r in rvals]
             )
         # e-cells: fixed finite covariable, decay in r
         for q in p.finite_q:
             qa = np.asarray(q, dtype=float)[:, None]
-            Ns, amps = [], []
-            for interps in fam:
-                svals = np.array([float(itp(qa)[0]) for itp in interps])
-                amps.append(float(svals.max()))
-                cents, maxes = octave_maxima(rvals, svals, p.r_lo)
-                Ns.append(fit_decay_exponent(cents, maxes, floor_abs))
-            N = _collapse_or_max(Ns, amps, p, floor_abs)
-            cells.append(
-                WfCell(
-                    CompactPoint.direction(wd),
-                    CompactPoint.finite(q),
-                    _label(N, p),
-                    N,
-                    "e",
-                )
-            )
+            profiles = [np.array([float(itp(qa)[0]) for itp in interps]) for interps in fam]
+            families = [(prof.max(), [prof]) for prof in profiles]
+            cell(CompactPoint.direction(wd), CompactPoint.finite(q), "e",
+                 families, rvals, p.r_lo)
         # corner cells
         for qd in p.q_dirs:
             pts = np.outer(np.asarray(qd), rho)
-            Ns, amps = [], []
+            families = []
             for interps in fam:
                 mat = np.stack([itp(pts) for itp in interps])  # (nr, nrho)
-                amps.append(float(mat.max()))
-                for R in r_subsets:
-                    sel = rvals >= R - 1e-9
-                    if not np.any(sel):
-                        continue
-                    prof = mat[sel].max(axis=0)
-                    cents, maxes = octave_maxima(rho, prof, p.rho_lo)
-                    Ns.append(fit_decay_exponent(cents, maxes, floor_abs))
-            N = _collapse_or_max(Ns, amps, p, floor_abs) if Ns else INF
-            cells.append(
-                WfCell(
-                    CompactPoint.direction(wd),
-                    CompactPoint.direction(qd),
-                    _label(N, p),
-                    N,
-                    "corner",
-                )
-            )
+                families.append((mat.max(), [mat[sel].max(axis=0) for sel in selections]))
+            cell(CompactPoint.direction(wd), CompactPoint.direction(qd), "corner",
+                 families, rho, p.rho_lo)
     return WfSet(cells, p, ctx.u_scale)
 
 
 # -- cone support scans -----------------------------------------------------------
+
+
+def _origin_floor(u: EvaluableDistribution, p: WfProtocol) -> float:
+    """The protocol floor scaled by |u| at the origin (when that exceeds 1)."""
+    scale = float(np.max(np.abs(u.values(np.zeros((p.dim, 1)))))) + 1e-300
+    return p.floor * max(1.0, scale)
 
 
 def css_scan(u: EvaluableDistribution, protocol: WfProtocol) -> tuple:
@@ -507,18 +489,15 @@ def css_scan(u: EvaluableDistribution, protocol: WfProtocol) -> tuple:
     )
     report = {}
     singular = []
+    floor_abs = _origin_floor(u, p)
     h = 0.1
     offset = np.zeros((p.dim, 1))
     offset[0, 0] = h
     for wd in p.x_dirs:
-        wvec = np.asarray(wd, dtype=float)
-        pts = np.outer(wvec, rdense)
-        vals = np.abs(u.values(pts))
-        shifted = np.abs(u.values(pts + offset) - u.values(pts))
-        stat = np.maximum(vals, shifted)
-        cents, maxes = octave_maxima(rdense, stat, p.r_lo)
-        scale = float(np.max(np.abs(u.values(np.zeros((p.dim, 1)))))) + 1e-300
-        N = fit_decay_exponent(cents, maxes, p.floor * max(1.0, scale))
+        pts = np.outer(np.asarray(wd, dtype=float), rdense)
+        vals = u.values(pts)
+        stat = np.maximum(np.abs(vals), np.abs(u.values(pts + offset) - vals))
+        N = fit_decay_exponent(*octave_maxima(rdense, stat, p.r_lo), floor_abs)
         label = _label(N, p)
         report[tuple(wd)] = {"N": N, "label": label}
         if label != "regular":
@@ -532,11 +511,11 @@ def csp_scan(u: EvaluableDistribution, protocol: WfProtocol) -> tuple:
     p = protocol
     rdense = p.r_lo * (p.r_max / p.r_lo) ** (np.arange(32) / 31.0)
     out, report = [], {}
-    scale = float(np.max(np.abs(u.values(np.zeros((p.dim, 1)))))) + 1e-300
+    floor_abs = _origin_floor(u, p)
     for wd in p.x_dirs:
         pts = np.outer(np.asarray(wd), rdense)
         mx = float(np.max(np.abs(u.values(pts))))
-        inside = mx > p.floor * max(1.0, scale)
+        inside = mx > floor_abs
         report[tuple(wd)] = {"max": mx, "in_csp": inside}
         if inside:
             out.append(CompactPoint.direction(wd))

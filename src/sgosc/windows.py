@@ -52,22 +52,27 @@ def gaussian_window(X: np.ndarray, center, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * d2 / sigma**2)
 
 
-def logradial_window(
-    X: np.ndarray, omega, r: float, tau: float, alpha: float
-) -> np.ndarray:
-    """Cone window: gaussian in log|x| around log r times an angular gaussian
-    around the direction omega (aperture alpha).  Vanishes to all orders at
-    the origin."""
+def cone_geometry(X: np.ndarray, omega) -> tuple:
+    """(live, log_r, angle) of the grid points X for the cone windows around
+    the direction omega: the mask of points off the origin, their log|x| and
+    their angle to omega.  It depends on the direction only, so every window
+    radius and shape of that direction shares it."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     w = w / np.linalg.norm(w)
     rr = np.linalg.norm(X, axis=0)
-    out = np.zeros(X.shape[-1])
     live = rr > 1e-12
-    Xl = X[:, live]
     rl = rr[live]
-    rad = np.exp(-0.5 * ((np.log(rl) - math.log(r)) / tau) ** 2)
-    cosang = np.clip(np.tensordot(w, Xl, axes=(0, 0)) / rl, -1.0, 1.0)
-    ang = np.arccos(cosang)
+    cosang = np.clip(np.tensordot(w, X[:, live], axes=(0, 0)) / rl, -1.0, 1.0)
+    return live, np.log(rl), np.arccos(cosang)
+
+
+def logradial_window(geom: tuple, r: float, tau: float, alpha: float) -> np.ndarray:
+    """Cone window on a `cone_geometry`: gaussian in log|x| around log r
+    times an angular gaussian around the direction (aperture alpha).
+    Vanishes to all orders at the origin."""
+    live, log_r, ang = geom
+    out = np.zeros(live.shape)
+    rad = np.exp(-0.5 * ((log_r - math.log(r)) / tau) ** 2)
     out[live] = rad * np.exp(-0.5 * (ang / alpha) ** 2)
     return out
 

@@ -141,6 +141,43 @@ def test_synth_wf_scan_and_determinism(tmp_path):
     assert "protocol" in summary
 
 
+def test_wf_scan_catalog_gtrain_and_determinism(tmp_path):
+    cfg = {
+        "command": "wf-scan",
+        "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+        "protocol": {"ngrid": 2048},
+        "out_csv": str(tmp_path / "wf.csv"),
+        "out_json": str(tmp_path / "wf.json"),
+    }
+    assert run(cfg) == 0
+    first_csv = (tmp_path / "wf.csv").read_bytes()
+    first_json = (tmp_path / "wf.json").read_bytes()
+    assert run(cfg) == 0
+    assert (tmp_path / "wf.csv").read_bytes() == first_csv
+    assert (tmp_path / "wf.json").read_bytes() == first_json
+    rows = first_csv.decode().strip().splitlines()
+    assert rows[0] == "y_kind,y_coords,q_kind,q_coords,label,fitted_N"
+    singular = [r.split(",")[:5] for r in rows[1:] if r.split(",")[4] == "singular"]
+    assert singular == [["boundary", "1", "boundary", "1", "singular"]]
+    assert json.loads(first_json)["singular"] == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"tau_radial": 0}, {"alpha_angular": 0}, {"ngrid": 0}, {"sigma_classical": [0.0]}],
+)
+def test_wf_scan_bad_protocol_exits_2(tmp_path, capsys, bad):
+    cfg = {
+        "command": "wf-scan",
+        "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+        "protocol": {"ngrid": 2048, **bad},
+        "out_csv": str(tmp_path / "wf.csv"),
+    }
+    assert run(cfg) == 2
+    assert next(iter(bad)) in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "wf.csv").exists()
+
+
 def test_mphi_grid_csv(tmp_path):
     cfg = {
         "command": "mphi",

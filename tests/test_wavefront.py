@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from sgosc.compactify import CompactPoint, ball_distance
-from sgosc.synth import make_fk, make_g
+from sgosc.compactify import CompactPoint, ball_distance, sphere_grid
+from sgosc.synth import PrescribedWfSpec, make_fk, make_g, make_prescribed
 from sgosc.wavefront import (
     EvaluableDistribution,
     WfProtocol,
@@ -16,6 +17,7 @@ from sgosc.wavefront import (
     pairing_predicate,
     wf_scan,
 )
+from sgosc.windows import cone_geometry, logradial_window
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +223,73 @@ def test_fit_decay_exponent_rules():
     assert abs(fit_decay_exponent(scales, stats2, 1e-14) - 1.0) < 0.2
     # all floor
     assert fit_decay_exponent(scales, np.full(6, 1e-14), 1e-10) == math.inf
+
+
+def _wf_digest(wf):
+    """SHA-256 over every cell's (kind, y, q, label, fitted_N.hex()) and the
+    scan's u_scale.hex(): equal digests mean bitwise-equal scans."""
+    h = hashlib.sha256()
+    for c in wf.cells:
+        h.update(
+            f"{c.kind} {c.y.coords} {c.q.coords} {c.label} "
+            f"{float(c.fitted_N).hex()}\n".encode()
+        )
+    h.update(float(wf.u_scale).hex().encode())
+    return h.hexdigest()
+
+
+def test_wf_scan_pinned(proto1d, gtrain):
+    """Bitwise pins of two scans: the 1-D g-train and a 2-D prescribed wave
+    front (criterion 4's spec at 256^2, 8 directions) with classical, e and
+    corner cells."""
+    assert _wf_digest(wf_scan(gtrain, proto1d)) == (
+        "788f86a764333633406e9147fbccd966b2e1223016e5fb41f693ffd25fad9362"
+    )
+    dirs = sphere_grid(2, 16)
+    spec = PrescribedWfSpec(asymptotic=[(dirs[2], dirs[5]), (dirs[9], dirs[13])])
+    proto2d = WfProtocol.make(
+        2,
+        box=16.0,
+        ngrid=256,
+        n_dirs=8,
+        rho_max_frac=0.7,
+        classical_centers=[(0.0, 0.0)],
+        finite_q=[(0.0, 0.0), (1.0, 0.0)],
+        floor=3e-6,
+    )
+    wf2 = wf_scan(make_prescribed(spec, 2, K_max=2), proto2d)
+    assert {c.kind for c in wf2.cells} == {"classical", "e", "corner"}
+    assert _wf_digest(wf2) == (
+        "e513d9871a863d391fb064825174288582a9438b676f361f73d7bf501e859e44"
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tau_radial": 0.0},
+        {"alpha_angular": 0.0},
+        {"ngrid": 0},
+        {"sigma_classical": (0.0,)},
+        {"sigma_classical": ()},
+        {"box": math.inf},
+        {"floor": math.nan},
+        {"samples_per_octave": -1},
+        {"r_lo": 40.0},  # above r_max = 0.6 * box: no cone window radius
+    ],
+)
+def test_protocol_rejects_nonpositive_parameters(proto1d, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        proto1d.replace(**bad)
+
+
+def test_logradial_window_origin_and_ray():
+    r, tau, alpha = 4.0, 0.3, 0.35
+    omega = np.array([3.0, 4.0])  # not normalized
+    on_ray = omega[:, None] / 5.0 * r
+    off_ray = np.array([[0.0], [r]])
+    X = np.hstack([on_ray, np.zeros((2, 1)), off_ray, 2.0 * on_ray])
+    w = logradial_window(cone_geometry(X, omega), r, tau, alpha)
+    assert w[0] == pytest.approx(1.0, rel=1e-12)
+    assert w[1] == 0.0  # the origin: no half-offset scan grid holds it
+    assert 0.0 < w[2] < w[0] and 0.0 < w[3] < w[0]
