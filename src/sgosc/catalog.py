@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .compactify import CompactPoint, sphere_grid
+from .compactify import CompactPoint
 from .jets import jb_jet, norm2_jet
 from .oscint import SchwartzFn
 from .phase import PhaseFn

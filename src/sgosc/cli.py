@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import catalog as cat
-from .compactify import CompactPoint, sphere_grid
+from .compactify import sphere_grid
 from .oscint import (
     IntegrabilityError,
     NonConvergenceError,
@@ -33,23 +32,11 @@ from .regularize import RegularizerRefused
 from .symbols import DEFAULT_PROTOCOL, ScanProtocol, parse_symbol_expr
 from .synth import PrescribedWfSpec, make_prescribed
 from .wavefront import WfProtocol, wf_scan
-from .fio import FlagError, build_V, compose, fourier_half_operator, kg_evolve, HalfOperator
+from .fio import FlagError, compose, fourier_half_operator, kg_evolve, HalfOperator
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_COMMANDS = (
-    "check-phase",
-    "mphi",
-    "spphi",
-    "eval-oscint",
-    "wf-scan",
-    "synth-wf",
-    "fio-apply",
-    "kg",
-    "catalog",
-)
 
 _SCHEMAS = {
     "check-phase": {
@@ -178,7 +165,7 @@ class ValidationFailure(ValueError):
 
 def _validate(config: dict) -> None:
     cmd = config.get("command")
-    if cmd not in _COMMANDS:
+    if not isinstance(cmd, str) or cmd not in _DISPATCH:
         raise ValidationFailure(f"unknown command {cmd!r}", pointer="/command")
     validator = Draft202012Validator(_SCHEMAS[cmd])
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
@@ -219,10 +206,17 @@ def _resolve_amplitude(config: dict, phi: PhaseFn):
     return parse_symbol_expr(name, (phi.d, phi.s), tuple(order))
 
 
+def _protocol_overrides(config: dict, keys) -> dict:
+    """The config's protocol overrides; a key outside keys is refused."""
+    overrides = dict(config.get("protocol", {}))
+    for k in overrides:
+        if k not in keys:
+            raise ValidationFailure(f"unknown protocol key {k!r}", pointer=f"/protocol/{k}")
+    return overrides
+
+
 def _protocol_from(config: dict) -> ScanProtocol:
-    overrides = config.get("protocol", {})
-    scan_keys = {f.name for f in ScanProtocol.__dataclass_fields__.values()}
-    kw = {k: v for k, v in overrides.items() if k in scan_keys}
+    kw = _protocol_overrides(config, ScanProtocol.__dataclass_fields__)
     for key in ("radii", "base_radii", "small_radii", "admiss_radii"):
         if key in kw:
             kw[key] = tuple(kw[key])
@@ -333,12 +327,13 @@ def _resolve_distribution(cfg: dict, dim_hint=None):
 
 
 def _wf_protocol_from(config: dict, dim: int) -> WfProtocol:
-    cfg = dict(config.get("protocol", {}))
-    box = cfg.pop("box", 64.0 if dim == 1 else 16.0)
-    ngrid = cfg.pop("ngrid", 4096 if dim == 1 else 256)
-    n_dirs = cfg.pop("n_dirs", 2 if dim == 1 else 16)
-    keys = {f.name for f in WfProtocol.__dataclass_fields__.values()}
-    kw = {k: v for k, v in cfg.items() if k in keys and k != "dim"}
+    # x_dirs and q_dirs come from n_dirs; dim comes from the distribution
+    keys = (set(WfProtocol.__dataclass_fields__) - {"x_dirs", "q_dirs"}) | {"n_dirs"}
+    kw = _protocol_overrides(config, keys)
+    kw.pop("dim", None)
+    box = kw.pop("box", 64.0 if dim == 1 else 16.0)
+    ngrid = kw.pop("ngrid", 4096 if dim == 1 else 256)
+    n_dirs = kw.pop("n_dirs", 2 if dim == 1 else 16)
     for key in ("classical_centers", "finite_q"):
         if key in kw:
             kw[key] = tuple(tuple(v) for v in kw[key])
@@ -436,13 +431,6 @@ def run(config: dict) -> int:
     """Validate and dispatch a job config; returns the exit code."""
     try:
         _validate(config)
-    except ValidationFailure as e:
-        print(
-            json.dumps({"error": str(e), "pointer": e.pointer}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
-    try:
         return _DISPATCH[config["command"]](config)
     except ValidationFailure as e:
         print(

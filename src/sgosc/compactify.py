@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .jets import Jet, jet_space, jet_variables, norm2_jet
+from .jets import Jet, jet_variables, norm2_jet, radius
 
 BOUNDARY_NORM_TOL = 1e-9
 
@@ -158,17 +158,12 @@ def bump_profile(t) -> np.ndarray:
 def bump_profile_jet(tj: Jet) -> Jet:
     """Jet of the bump profile; branches are selected per batch column."""
     t0 = tj.value.real
-    out = np.zeros_like(tj.c)
-    flat = t0 <= 0.5
-    out[0, flat] = 1.0
-    mid = (t0 > 0.5) & (t0 < 1.0)
-    if np.any(mid):
-        sub = tj.columns(mid)
-        s = 2.0 * sub - 1.0
-        q = 1.0 - s * s
-        g = (1.0 - q.recip()).exp()
-        out[:, mid] = g.c
-    return Jet(tj.space, out)
+
+    def build(mid):
+        s = 2.0 * tj.columns(mid) - 1.0
+        return (1.0 - (1.0 - s * s).recip()).exp()
+
+    return Jet.piecewise(tj.space, (t0 > 0.5) & (t0 < 1.0), build, one=t0 <= 0.5)
 
 
 def smoothstep_jet(tj: Jet, lo: float, hi: float) -> Jet:
@@ -187,11 +182,8 @@ def smoothstep(t, lo: float, hi: float) -> np.ndarray:
 
 
 class SphereFn:
-    """Smooth function on S^{k-1}, evaluated on unit vectors; jets receive
-    the list of (normalized) coordinate jets."""
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    """Smooth function on S^{k-1}; its jet receives the list of
+    (normalized) coordinate jets."""
 
     def jet(self, ujets: Sequence[Jet]) -> Jet:
         raise NotImplementedError
@@ -201,9 +193,6 @@ class SphereConstant(SphereFn):
     def __init__(self, c: float = 1.0):
         self.c = c
 
-    def value(self, u):
-        return np.full(u.shape[-1], self.c, dtype=complex)
-
     def jet(self, ujets):
         return Jet.constant(ujets[0].space, np.full(ujets[0].batch, self.c))
 
@@ -211,9 +200,6 @@ class SphereConstant(SphereFn):
 class SphereCoordinate(SphereFn):
     def __init__(self, i: int):
         self.i = i
-
-    def value(self, u):
-        return u[self.i].astype(complex)
 
     def jet(self, ujets):
         return ujets[self.i]
@@ -226,10 +212,6 @@ class SphereGaussian(SphereFn):
         self.center = np.asarray(center, dtype=float)
         self.center = self.center / np.linalg.norm(self.center)
         self.width = float(width)
-
-    def value(self, u):
-        dot = np.tensordot(self.center, u, axes=(0, 0))
-        return np.exp((dot - 1.0) / self.width**2).astype(complex)
 
     def jet(self, ujets):
         acc = ujets[0] * self.center[0]
@@ -252,36 +234,20 @@ class AsymptoticCutoff:
             raise ValueError("asymptotic cutoff needs R > 0")
 
     def value(self, x) -> np.ndarray:
-        x = as_columns(x)
-        r = np.sqrt(np.sum(x * x, axis=0))
-        out = np.zeros(x.shape[1], dtype=complex)
-        live = r > 0.5 * self.radius
-        if np.any(live):
-            xl = x[:, live]
-            rl = r[live]
-            out[live] = (1.0 - bump_profile(rl / self.radius)) * self.sphere_fn.value(
-                xl / rl
-            )
-        return out
+        return self.jet(x, 0).value
 
     def jet(self, x, order: int) -> Jet:
         return self.jet_from_vars(jet_variables(order, as_columns(x)))
 
     def jet_from_vars(self, xj: Sequence[Jet]) -> Jet:
-        sp = xj[0].space
-        batch = xj[0].batch
-        r0 = np.sqrt(np.sum(np.stack([j.value.real**2 for j in xj]), axis=0))
-        out = np.zeros((sp.ncoef, batch), dtype=complex)
-        live = r0 > 0.5 * self.radius
-        if np.any(live):
+        def build(live):
             sub = [j.columns(live) for j in xj]
             r = norm2_jet(sub).sqrt()
             rinv = r.recip()
-            units = [v * rinv for v in sub]
             bump = bump_profile_jet(r * (1.0 / self.radius))
-            val = (1.0 - bump) * self.sphere_fn.jet(units)
-            out[:, live] = val.c
-        return Jet(sp, out)
+            return (1.0 - bump) * self.sphere_fn.jet([v * rinv for v in sub])
+
+        return Jet.piecewise(xj[0].space, radius(xj) > 0.5 * self.radius, build)
 
 
 def make_asymptotic_cutoff(sphere_fn: SphereFn, radius: float, dim: int) -> AsymptoticCutoff:

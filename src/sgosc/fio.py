@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 from .compactify import as_columns, as_points, japanese_bracket
 from .jets import base_points, norm2_jet
-from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, adaptive_tensor
+from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn
 from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
 from .symbols import (
     DEFAULT_PROTOCOL,
@@ -249,8 +248,7 @@ def phase_component_check(phi_sym: SymbolFn, protocol: ScanProtocol = DEFAULT_PR
         tuple(protocol.small_radii) + tuple(protocol.radii),
         tuple(protocol.small_radii) + tuple(protocol.radii),
     )
-    gx = phi_sym.grad_x(X, K).real
-    gk = phi_sym.grad_xi(X, K).real
+    gx, gk = (g.real for g in phi_sym.gradients(X, K))
     r1 = japanese_bracket(gk) / japanese_bracket(X)
     r2 = japanese_bracket(gx) / japanese_bracket(K)
     mn = float(min(r1.min(), r2.min()))
@@ -294,8 +292,7 @@ class VRegularizer:
 
         def jet_fn(xj, kj):
             x, k, order = base_points(xj, kj)
-            pj = phi.jet(x, k, order + 4)
-            gk = [pj.derivative(d + j) for j in range(s)]
+            gk = phi.gradient_jets(x, k, order + 3)[1]
             lap = gk[0].derivative(d)
             for j in range(1, s):
                 lap = lap + gk[j].derivative(d + j)

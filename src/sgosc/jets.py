@@ -129,6 +129,18 @@ class Jet:
             c[space.index[e]] = 1.0
         return cls(space, c)
 
+    @classmethod
+    def piecewise(cls, space: JetSpace, live, build, one=None) -> "Jet":
+        """Jet over the columns of the mask live: build(live)'s coefficients
+        on the live columns, the constant 1 on the columns one and 0 on the
+        rest.  build is called only when some column is live."""
+        c = np.zeros((space.ncoef, len(live)), dtype=complex)
+        if one is not None:
+            c[0, one] = 1.0
+        if np.any(live):
+            c[:, live] = build(live).c
+        return cls(space, c)
+
     # -- basic properties ---------------------------------------------
 
     @property
@@ -375,6 +387,11 @@ def base_points(xj, kj):
         return np.stack([j.value.real for j in js])
 
     return stack(xj), stack(kj), first.order
+
+
+def radius(vs) -> np.ndarray:
+    """Euclidean norm of the real base values of a list of jets."""
+    return np.sqrt(np.sum(np.stack([v.value.real**2 for v in vs]), axis=0))
 
 
 def norm2_jet(vs) -> Jet:

@@ -351,8 +351,7 @@ def _phase_freq_splits(phi: PhaseFn, Lx: float, Lk: float, cap: int = 10):
     d, s = phi.d, phi.s
     probe_x = np.array([[0.0] * d, [Lx] * d, [-Lx] * d]).T
     probe_k = np.array([[0.0] * s, [Lk] * s, [-Lk] * s]).T
-    gx = np.abs(phi.grad_x(probe_x, probe_k).real).max()
-    gk = np.abs(phi.grad_xi(probe_x, probe_k).real).max()
+    gx, gk = (np.abs(g.real).max() for g in phi.gradients(probe_x, probe_k))
     # oscillation along x is driven by |grad_x phi|, along xi by |grad_xi phi|
     sx = int(min(cap, max(2, round(gx * Lx / 10))))
     sk = int(min(cap, max(2, round(gk * Lk / 10))))

@@ -13,8 +13,8 @@ classified by recorded sampling protocols; margin labels are conservative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from .compactify import (
     japanese_bracket,
     pair_distance,
 )
-from .jets import Jet, base_points, norm2_jet
+from .jets import base_points, norm2_jet
 from .symbols import (
     DEFAULT_PROTOCOL,
-    EllipticityResult,
     ScanProtocol,
     SymbolFn,
     _sample_pairs,
@@ -70,41 +69,18 @@ class AdmissibilityReport:
         }
 
 
-class PhaseFn:
-    """Real-valued SymbolFn of positive order (n, nu) with cached eta."""
+class PhaseFn(SymbolFn):
+    """Real-valued symbol of positive order (n, nu), built from the SymbolFn
+    `symbol`, with its admissibility reports."""
 
     def __init__(self, symbol: SymbolFn, order=None):
-        self.symbol = symbol
         n, nu = order_pair(order if order is not None else symbol.order)
         if not (n > 0 and nu > 0) or not (np.isfinite(n) and np.isfinite(nu)):
             raise ValueError("phase order components must be finite and positive")
-        self.order = (n, nu)
+        SymbolFn.__init__(self, symbol.d, symbol.s, (n, nu), symbol.jet_fn, symbol.source)
+        self.symbol = symbol
         self.admissibility: Optional[AdmissibilityReport] = None
         self._reports: dict = {}  # ScanProtocol -> AdmissibilityReport
-
-    @property
-    def d(self) -> int:
-        return self.symbol.d
-
-    @property
-    def s(self) -> int:
-        return self.symbol.s
-
-    @property
-    def source(self) -> str:
-        return self.symbol.source
-
-    def jet(self, x, xi, order: int) -> Jet:
-        return self.symbol.jet(x, xi, order)
-
-    def value(self, x, xi) -> np.ndarray:
-        return self.symbol.value(x, xi)
-
-    def grad_x(self, x, xi) -> np.ndarray:
-        return self.symbol.grad_x(x, xi)
-
-    def grad_xi(self, x, xi) -> np.ndarray:
-        return self.symbol.grad_xi(x, xi)
 
 
 # -- derived symbols ----------------------------------------------------------
@@ -112,18 +88,14 @@ class PhaseFn:
 
 def _gradient_symbol(phi, out_order, source: str, build) -> SymbolFn:
     """SymbolFn with jet build(grad_x phi, grad_xi phi, xj, kj), from one jet
-    of phi one order above the requested one.  phi is a PhaseFn or a plain
-    SymbolFn."""
-    d, s = phi.d, phi.s
+    of phi one order above the requested one."""
 
     def jet_fn(xj, kj):
         x, xi, order = base_points(xj, kj)
-        pj = phi.jet(x, xi, order + 1)
-        gx = [pj.derivative(i) for i in range(d)]
-        gk = [pj.derivative(d + i) for i in range(s)]
+        gx, gk = phi.gradient_jets(x, xi, order)
         return build(gx, gk, xj, kj)
 
-    return SymbolFn(d, s, out_order, jet_fn, source)
+    return SymbolFn(phi.d, phi.s, out_order, jet_fn, source)
 
 
 def eta_symbol(phi: PhaseFn) -> SymbolFn:
@@ -177,8 +149,7 @@ def weighted_grad_x_sq_symbol(phi: PhaseFn) -> SymbolFn:
 
 def eta(phi: PhaseFn, x, xi) -> np.ndarray:
     """Pointwise eta(x, xi) >= 0 computed from first-order jets."""
-    gx = phi.grad_x(x, xi)
-    gk = phi.grad_xi(x, xi)
+    gx, gk = phi.gradients(x, xi)
     bx = japanese_bracket(as_columns(x)) ** 2
     bk = japanese_bracket(as_columns(xi)) ** 2
     val = bx * np.sum(np.abs(gx) ** 2, axis=0) + bk * np.sum(np.abs(gk) ** 2, axis=0)
@@ -397,11 +368,7 @@ def spphi_classify(
             xi_center, phi.s, protocol, center_dir=ck, delta=delta, radii=sp_radii
         )
         X, K, valid = cross_sides(gx, gk)
-        jp = phi.jet(X, K, 1)
-        gradx = np.stack([jp.derivative(i).value.real for i in range(phi.d)])
-        gradk = np.stack(
-            [jp.derivative(phi.d + i).value.real for i in range(phi.s)]
-        )
+        gradx, gradk = (g.real for g in phi.gradients(X, K))
         m_pt = (
             np.sum(gradk * gradk, axis=0)
             * japanese_bracket(X) ** (-2.0 * n)

@@ -24,14 +24,13 @@ from .compactify import (
     bump_profile_jet,
     smoothstep_jet,
 )
-from .jets import Jet, base_points, jet_variables, norm2_jet
+from .jets import Jet, base_points, jet_variables, norm2_jet, radius
 from .phase import PhaseFn, require_admissible
 from .symbols import (
     DEFAULT_PROTOCOL,
     ScanProtocol,
     SymbolFn,
     cross_sides,
-    order_pair,
     side_grid,
 )
 
@@ -61,19 +60,13 @@ class SpatialCutoff:
             return self._cut.jet_from_vars(xj)
         c = self.center.array
         shifted = [xj[i] - c[i] for i in range(len(xj))]
-        r0 = np.sqrt(
-            np.sum(np.stack([j.value.real**2 for j in shifted]), axis=0)
-        )
-        sp = xj[0].space
-        out = np.zeros((sp.ncoef, xj[0].batch), dtype=complex)
-        flat = r0 <= 0.25 * self.width
-        out[0, flat] = 1.0
-        live = ~flat
-        if np.any(live):
-            sub = [j.columns(live) for j in shifted]
-            r = norm2_jet(sub).sqrt()
-            out[:, live] = bump_profile_jet(r * (1.0 / self.width)).c
-        return Jet(sp, out)
+        flat = radius(shifted) <= 0.25 * self.width
+
+        def build(live):
+            r = norm2_jet([j.columns(live) for j in shifted]).sqrt()
+            return bump_profile_jet(r * (1.0 / self.width))
+
+        return Jet.piecewise(xj[0].space, ~flat, build, one=flat)
 
     def value(self, x) -> np.ndarray:
         return self.jet_from_vars(jet_variables(0, as_columns(x))).value
@@ -94,34 +87,27 @@ class RegularizerP:
     protocol: ScanProtocol
 
     def chi_jet(self, vars_: Sequence[Jet]) -> Jet:
-        sp = vars_[0].space
-        batch = vars_[0].batch
-        t0 = np.sqrt(np.sum(np.stack([v.value.real**2 for v in vars_]), axis=0))
-        out = np.zeros((sp.ncoef, batch), dtype=complex)
-        ones = t0 <= self.R
-        out[0, ones] = 1.0
-        live = (t0 > self.R) & (t0 < self.R + 1.0)
-        if np.any(live):
-            sub = [v.columns(live) for v in vars_]
-            t = norm2_jet(sub).sqrt()
-            out[:, live] = smoothstep_jet(t, self.R, self.R + 1.0).c
-        return Jet(sp, out)
+        t0 = radius(vars_)
+
+        def build(live):
+            t = norm2_jet([v.columns(live) for v in vars_]).sqrt()
+            return smoothstep_jet(t, self.R, self.R + 1.0)
+
+        return Jet.piecewise(
+            vars_[0].space, (t0 > self.R) & (t0 < self.R + 1.0), build, one=t0 <= self.R
+        )
 
     def component_jets(self, x: np.ndarray, xi: np.ndarray, order: int):
         """u (s jets), v (d jets), w and chi at the requested order."""
         d, s = self.phi.d, self.phi.s
         vhigh = jet_variables(order + 1, x, xi)
-        pj = self.phi.jet(x, xi, order + 2)
-        gx = [pj.derivative(i) for i in range(d)]  # order+1
-        gk = [pj.derivative(d + i) for i in range(s)]
+        gx, gk = self.phi.gradient_jets(x, xi, order + 1)
         bx2 = 1.0 + norm2_jet(vhigh[:d])
         bk2 = 1.0 + norm2_jet(vhigh[d:])
         eta_j = norm2_jet(gx) * bx2 + norm2_jet(gk) * bk2
         chi_hi = self.chi_jet(vhigh)
         t0 = np.sqrt(np.sum(x * x, axis=0) + (np.sum(xi * xi, axis=0) if s else 0.0))
         live = t0 > self.R
-        sp_hi = vhigh[0].space
-        batch = vhigh[0].batch
         einv = None  # (1 - chi)/eta on the live columns
         if np.any(live):
             eta_l = eta_j.columns(live)
@@ -132,10 +118,11 @@ class RegularizerP:
             einv = (1.0 - chi_hi.columns(live)) * eta_l.recip()
 
         def masked(bracket2, grad):
-            out = np.zeros((sp_hi.ncoef, batch), dtype=complex)
-            if einv is not None:
-                out[:, live] = (einv * bracket2.columns(live) * grad.columns(live) * 1j).c
-            return Jet(sp_hi, out)
+            return Jet.piecewise(
+                vhigh[0].space,
+                live,
+                lambda lv: einv * bracket2.columns(lv) * grad.columns(lv) * 1j,
+            )
 
         u = [masked(bk2, g) for g in gk]
         v = [masked(bx2, g) for g in gx]
@@ -275,8 +262,7 @@ def q_step(phi: PhaseFn, x, xi, g: Jet) -> Jet:
     grad_xi phi, at the base points (x, xi) of g; one order below g.
     Refuses samples where |grad_xi phi|^2 vanishes."""
     d, s = phi.d, phi.s
-    pj = phi.jet(x, xi, g.order + 1)
-    gk = [pj.derivative(d + i) for i in range(s)]
+    gk = phi.gradient_jets(x, xi, g.order)[1]
     g2 = norm2_jet(gk)
     if np.any(np.abs(g2.value) < 1e-14):
         raise RegularizerRefused("grad_xi phi vanishes on a sample")

@@ -15,8 +15,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 

@@ -14,8 +14,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0
 
-from .compactify import bump_profile
-
 
 def smooth_transition(s) -> np.ndarray:
     """C-infinity monotone step: 0 for s <= 0, 1 for s >= 1."""

@@ -178,6 +178,45 @@ def test_wf_scan_bad_protocol_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "wf.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"command": "mphi", "phase": "kg11", "grid": {"n_dirs": 4}}, "c_0"),
+        (
+            {
+                "command": "wf-scan",
+                "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+            },
+            "ngird",
+        ),
+        (
+            {
+                "command": "wf-scan",
+                "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+            },
+            "x_dirs",
+        ),
+    ],
+)
+def test_unknown_protocol_key_exits_2(tmp_path, capsys, cfg, key):
+    cfg = {**cfg, "protocol": {key: 2048}, "out_csv": str(tmp_path / "out.csv")}
+    assert run(cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert key in err["error"]
+    assert err["pointer"] == f"/protocol/{key}"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_wf_protocol_extras_accepted(tmp_path):
+    cfg = {
+        "command": "wf-scan",
+        "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+        "protocol": {"box": 64.0, "ngrid": 2048, "n_dirs": 2, "dim": 1},
+        "out_csv": str(tmp_path / "wf.csv"),
+    }
+    assert run(cfg) == 0
+
+
 def test_mphi_grid_csv(tmp_path):
     cfg = {
         "command": "mphi",

@@ -19,13 +19,14 @@ from sgosc.compactify import (
 from sgosc.fio import VRegularizer
 from sgosc.jets import jet_variables
 from sgosc.phase import (
+    PhaseFn,
     eta_symbol,
     grad_x_sq_symbol,
     grad_xi_sq_symbol,
     weighted_grad_x_sq_symbol,
 )
 from sgosc.regularize import RegularizerP, SpatialCutoff, q_step
-from sgosc.symbols import DEFAULT_PROTOCOL
+from sgosc.symbols import DEFAULT_PROTOCOL, SymbolFn
 
 PHASES = {
     "sep-power": lambda: sep_power_phase(1, 1),
@@ -107,3 +108,13 @@ PINNED = {
 def test_derived_jets_pinned():
     got = {k: _digest(js) for k, js in {**_phase_jets(), **_cutoff_jets()}.items()}
     assert got == PINNED
+
+
+def test_phase_is_a_symbol():
+    phi = KgSpec().phase()
+    assert isinstance(phi, SymbolFn)
+    assert isinstance(phi.symbol, SymbolFn) and phi.jet_fn is phi.symbol.jet_fn
+    assert (phi.d, phi.s, phi.order, phi.source) == (4, 3, (1.0, 1.0), phi.symbol.source)
+    # the evaluation methods are SymbolFn's own, not forwards to phi.symbol
+    forwards = {"d", "s", "source", "jet", "value", "grad_x", "grad_xi"}
+    assert not forwards & set(vars(PhaseFn))

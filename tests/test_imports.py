@@ -1,0 +1,48 @@
+"""No module of the package imports a name at module level that it never
+uses (there is no linter in the toolchain, so this test is the check)."""
+
+import ast
+from pathlib import Path
+
+import sgosc
+
+SRC = Path(sgosc.__file__).parent
+
+
+def _annotation_names(tree):
+    """Names inside quoted annotations such as -> "SymbolFn"."""
+    out = set()
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+            notes = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                sub = ast.parse(note.value, mode="eval")
+                out |= {n.id for n in ast.walk(sub) if isinstance(n, ast.Name)}
+    return out
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                imported.append((node.lineno, (a.asname or a.name).split(".")[0]))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree)
+    return [f"{path.name}:{line}: {name}" for line, name in imported if name not in used]
+
+
+def test_no_unused_module_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [u for p in modules for u in _unused_imports(p)]
+    assert not unused, "unused module-level imports:\n" + "\n".join(unused)

@@ -109,3 +109,31 @@ def test_norm2_and_variable_batching():
     n2 = norm2_jet(v)
     assert np.allclose(n2.value.real, [10.0, 20.0])
     assert jet_space(2, 1).ncoef == 3
+
+
+def test_piecewise():
+    v = jet_variables(2, np.array([[0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0]]))
+    sp = v[0].space
+    live = np.array([False, True, False, True])
+    one = np.array([True, False, False, False])
+    calls = []
+
+    def build(mask):
+        calls.append(mask)
+        return (v[0] * v[1]).columns(mask).exp()
+
+    j = Jet.piecewise(sp, live, build, one=one)
+    assert len(calls) == 1 and np.array_equal(calls[0], live)
+    assert j.space is sp and j.c.shape == (sp.ncoef, 4) and j.c.dtype == complex
+    # a plateau column is the constant 1, a live column is build's jet,
+    # any other column is 0
+    assert j.c[0, 0] == 1.0 and not np.any(j.c[1:, 0])
+    assert np.array_equal(j.c[:, live], (v[0] * v[1]).columns(live).exp().c)
+    assert not np.any(j.c[:, 2])
+
+    def never(mask):
+        raise AssertionError("build called with no live column")
+
+    none = Jet.piecewise(sp, np.zeros(4, bool), never, one=one)
+    assert np.array_equal(none.c[0], [1, 0, 0, 0]) and not np.any(none.c[1:])
+    assert not np.any(Jet.piecewise(sp, np.zeros(4, bool), never).c)
