@@ -20,7 +20,7 @@ from .compactify import CompactPoint
 from .jets import jb_jet, norm2_jet
 from .oscint import SchwartzFn
 from .phase import PhaseFn
-from .symbols import SymbolFn
+from .symbols import SymbolFn, constant_symbol
 from .synth import make_fk, make_g
 
 ATOL = 1e-9
@@ -364,7 +364,7 @@ def mollified_shell(spec: KgSpec, width: float):
         ).astype(complex)
 
     return EvaluableDistribution(
-        spec.d, evaluator, growth=0.0, source=f"shell(width={width})"
+        spec.d, evaluator, source=f"shell(width={width})"
     )
 
 
@@ -457,32 +457,35 @@ def gaussian_amplitude(d: int = 1, s: int = 1) -> SymbolFn:
     return SymbolFn(d, s, (-math.inf, -math.inf), jet_fn, "exp(-|x|^2-|xi|^2)")
 
 
+# catalog name -> builder of the keyword options; the CLI reads the names here
+PHASES = {
+    "kg4": lambda kw: KgSpec(kw.get("mass", 1.0), 3).phase(),
+    "kg11": lambda kw: KgSpec(kw.get("mass", 1.0), 1).phase(),
+    "sep-power": lambda kw: sep_power_phase(
+        kw.get("n", 1.0), kw.get("nu", 1.0), kw.get("d", 1), kw.get("s", 1)
+    ),
+}
+AMPLITUDES = {
+    "kg4": lambda kw: KgSpec(kw.get("mass", 1.0), 3).amplitude(),
+    "kg11": lambda kw: KgSpec(kw.get("mass", 1.0), 1).amplitude(),
+    "kg11-trunc": lambda kw: KgSpec(kw.get("mass", 1.0), 1).truncated_amplitude(
+        kw.get("cutoff", 6.0)
+    ),
+    "gauss": lambda kw: gaussian_amplitude(kw.get("d", 1), kw.get("s", 1)),
+    "one": lambda kw: constant_symbol(kw.get("d", 1), kw.get("s", 1), 1.0),
+}
+
+
 def get_phase(name: str, **kw) -> PhaseFn:
-    if name == "kg4":
-        return KgSpec(kw.get("mass", 1.0), 3).phase()
-    if name == "kg11":
-        return KgSpec(kw.get("mass", 1.0), 1).phase()
-    if name == "sep-power":
-        return sep_power_phase(
-            kw.get("n", 1.0), kw.get("nu", 1.0), kw.get("d", 1), kw.get("s", 1)
-        )
-    raise KeyError(f"unknown catalog phase {name!r}")
+    if name not in PHASES:
+        raise KeyError(f"unknown catalog phase {name!r}")
+    return PHASES[name](kw)
 
 
 def get_amplitude(name: str, **kw) -> SymbolFn:
-    if name == "kg4":
-        return KgSpec(kw.get("mass", 1.0), 3).amplitude()
-    if name == "kg11":
-        return KgSpec(kw.get("mass", 1.0), 1).amplitude()
-    if name == "kg11-trunc":
-        return KgSpec(kw.get("mass", 1.0), 1).truncated_amplitude(kw.get("cutoff", 6.0))
-    if name == "gauss":
-        return gaussian_amplitude(kw.get("d", 1), kw.get("s", 1))
-    if name == "one":
-        from .symbols import constant_symbol
-
-        return constant_symbol(kw.get("d", 1), kw.get("s", 1), 1.0)
-    raise KeyError(f"unknown catalog amplitude {name!r}")
+    if name not in AMPLITUDES:
+        raise KeyError(f"unknown catalog amplitude {name!r}")
+    return AMPLITUDES[name](kw)
 
 
 def get_testfn(name: str, **kw) -> SchwartzFn:

@@ -153,10 +153,6 @@ _SCHEMAS = {
     },
 }
 
-_CATALOG_PHASES = ("kg4", "kg11", "sep-power")
-_CATALOG_AMPS = ("kg4", "kg11", "kg11-trunc", "gauss", "one")
-
-
 class ValidationFailure(ValueError):
     def __init__(self, message, pointer=""):
         super().__init__(message)
@@ -177,7 +173,7 @@ def _validate(config: dict) -> None:
 
 def _resolve_phase(config: dict) -> PhaseFn:
     name = config["phase"]
-    if name in _CATALOG_PHASES:
+    if name in cat.PHASES:
         kw = {}
         if "mass" in config:
             kw["mass"] = config["mass"]
@@ -196,7 +192,7 @@ def _resolve_phase(config: dict) -> PhaseFn:
 
 def _resolve_amplitude(config: dict, phi: PhaseFn):
     name = config["amplitude"]
-    if name in _CATALOG_AMPS:
+    if name in cat.AMPLITUDES:
         return cat.get_amplitude(name, d=phi.d, s=phi.s, mass=config.get("mass", 1.0))
     order = config.get("amp_order")
     if order is None:
@@ -315,14 +311,14 @@ def _cmd_eval_oscint(config: dict) -> int:
     return EXIT_OK
 
 
-def _resolve_distribution(cfg: dict, dim_hint=None):
+def _resolve_distribution(cfg: dict):
     if "catalog" in cfg:
         name = cfg["catalog"]
         kw = {k: v for k, v in cfg.items() if k != "catalog"}
         return cat.get_distribution(name, **kw)
     if "synth" in cfg:
         spec = PrescribedWfSpec.from_json(cfg["synth"])
-        return make_prescribed(spec, cfg.get("dim", dim_hint or 1))
+        return make_prescribed(spec, cfg.get("dim", 1))
     raise ValidationFailure("distribution needs 'catalog' or 'synth'", "/distribution")
 
 
@@ -332,7 +328,7 @@ def _wf_protocol_from(config: dict, dim: int) -> WfProtocol:
     kw = _protocol_overrides(config, keys)
     kw.pop("dim", None)
     box = kw.pop("box", 64.0 if dim == 1 else 16.0)
-    ngrid = kw.pop("ngrid", 4096 if dim == 1 else 256)
+    ngrid = kw.pop("ngrid", 2048 if dim == 1 else 256)
     n_dirs = kw.pop("n_dirs", 2 if dim == 1 else 16)
     for key in ("classical_centers", "finite_q"):
         if key in kw:
@@ -380,7 +376,7 @@ def _cmd_fio_apply(config: dict) -> int:
         phi_sym = parse_symbol_expr(op_cfg["phase"], (1, 1), order)
         amp = (
             cat.get_amplitude(op_cfg.get("amplitude", "one"), d=1, s=1)
-            if op_cfg.get("amplitude", "one") in _CATALOG_AMPS
+            if op_cfg.get("amplitude", "one") in cat.AMPLITUDES
             else parse_symbol_expr(op_cfg["amplitude"], (1, 1), tuple(op_cfg.get("amp_order", (0, 0))))
         )
         outer = HalfOperator(phi=phi_sym, amplitude=amp, order=order)
@@ -438,9 +434,8 @@ def run(config: dict) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    except (ValueError, KeyError) as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
-        return EXIT_VALIDATION
+    # the numerical failures subclass ValueError (all but NonConvergenceError),
+    # so they are caught before the generic validation clause
     except (NonConvergenceError, IntegrabilityError, RegularizerRefused, FlagError) as e:
         diag = getattr(e, "diagnostic", {})
         print(
@@ -448,6 +443,9 @@ def run(config: dict) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
+    except (ValueError, KeyError) as e:
+        print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def main(argv=None) -> int:

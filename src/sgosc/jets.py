@@ -52,11 +52,6 @@ class JetSpace:
         self.indices = _multi_indices(nvars, order)
         self.ncoef = len(self.indices)
         self.index = {g: i for i, g in enumerate(self.indices)}
-        # prefix sizes: jets of order K occupy the first trunc_size[K] rows
-        self.trunc_size = [0] * (order + 1)
-        for g in self.indices:
-            for k in range(sum(g), order + 1):
-                self.trunc_size[k] += 1
         # product table grouped by output index
         pairs = [[] for _ in range(self.ncoef)]
         for ia, ga in enumerate(self.indices):

@@ -28,28 +28,42 @@ def _unit(v, name: str) -> np.ndarray:
     return v / n
 
 
-def make_fk(omega, eta, k: int, d: Optional[int] = None) -> EvaluableDistribution:
+def _sum(terms):
+    """Evaluator X -> terms[0](X) + terms[1](X) + ..., added left to right;
+    complex zeros when there are no terms."""
+
+    def evaluator(X):
+        if not terms:
+            return np.zeros(X.shape[1], dtype=complex)
+        acc = terms[0](X)
+        for t in terms[1:]:
+            acc = acc + t(X)
+        return acc
+
+    return evaluator
+
+
+def _train(omega, eta, ks, label: str) -> EvaluableDistribution:
+    """Sum of the train terms f_k, k in ks; its transform is (2 pi)^{d/2}
+    times the sum of the dual terms f_k(.; eta, -omega)."""
+    d = len(omega)
+    scale = (2.0 * math.pi) ** (d / 2.0)
+    dual = _sum([make_fk_raw(eta, -omega, k) for k in ks])
+    ft = EvaluableDistribution(d, lambda Z: scale * dual(Z), source=f"FT {label}")
+    return EvaluableDistribution(
+        d, _sum([make_fk_raw(omega, eta, k) for k in ks]), analytic_ft=ft, source=label
+    )
+
+
+def make_fk(omega, eta, k: int) -> EvaluableDistribution:
     """Schwartz train term: gaussian at k^3 omega modulated at frequency
     k^3 eta, with the quadratic phase offset that makes the transform law
     exactly F f_k = (2 pi)^{d/2} f_k(.; eta, -omega)."""
     omega = _unit(omega, "omega")
     eta = _unit(eta, "eta")
-    if d is None:
-        d = len(omega)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    evaluator = make_fk_raw(omega, eta, k)
-    ft_inner = make_fk_raw(eta, -omega, k)
-    scale = (2.0 * math.pi) ** (d / 2.0)
-    ft = EvaluableDistribution(
-        d,
-        lambda Z: scale * ft_inner(Z),
-        growth=0.0,
-        source=f"FT f_{k}({list(omega)},{list(eta)})",
-    )
-    return EvaluableDistribution(
-        d, evaluator, analytic_ft=ft, growth=0.0, source=f"f_{k}({list(omega)},{list(eta)})"
-    )
+    return _train(omega, eta, [k], f"f_{k}({list(omega)},{list(eta)})")
 
 
 def make_fk_raw(omega, eta, k: int):
@@ -77,40 +91,16 @@ def g_truncation_bound(K_max: int, box: float, terms: int = 40) -> float:
 
 
 def make_g(omega, eta, K_max: int = 4) -> EvaluableDistribution:
-    """Partial train sum: smooth, bounded with all derivatives, rapidly
-    decaying away from the ray through omega; cone singular support {omega}
-    and wave front {(omega, eta)}."""
+    """Partial train sum f_0 + ... + f_{K_max}: smooth, bounded with all
+    derivatives, rapidly decaying away from the ray through omega; cone
+    singular support {omega} and wave front {(omega, eta)}."""
     omega = _unit(omega, "omega")
     eta = _unit(eta, "eta")
     if K_max < 1:
         raise ValueError("K_max must be at least 1")
-    d = len(omega)
-    terms = [make_fk_raw(omega, eta, k) for k in range(K_max + 1)]
-    ft_terms = [make_fk_raw(eta, -omega, k) for k in range(K_max + 1)]
-    scale = (2.0 * math.pi) ** (d / 2.0)
-
-    def evaluator(X):
-        acc = terms[0](X)
-        for t in terms[1:]:
-            acc = acc + t(X)
-        return acc
-
-    def ft_eval(Z):
-        acc = ft_terms[0](Z)
-        for t in ft_terms[1:]:
-            acc = acc + t(Z)
-        return scale * acc
-
-    ft = EvaluableDistribution(d, ft_eval, growth=0.0, source="FT g-train")
-    dist = EvaluableDistribution(
-        d,
-        evaluator,
-        analytic_ft=ft,
-        growth=0.0,
-        source=f"g-train({list(omega)},{list(eta)},K={K_max})",
+    return _train(
+        omega, eta, range(K_max + 1), f"g-train({list(omega)},{list(eta)},K={K_max})"
     )
-    dist.truncation_bound = lambda box: g_truncation_bound(K_max, box)
-    return dist
 
 
 # -- prescribed wave front specs ----------------------------------------------------
@@ -209,21 +199,20 @@ def make_classical_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> Evalu
                 acc += k ** (-2.0 - d) * ftfun(arg) * phase
         return acc
 
-    ft = EvaluableDistribution(d, ft_eval, growth=0.0, source="FT classical part")
-    return EvaluableDistribution(
-        d, evaluator, analytic_ft=ft, growth=0.0, source="classical-wf part"
-    )
+    ft = EvaluableDistribution(d, ft_eval, source="FT classical part")
+    return EvaluableDistribution(d, evaluator, analytic_ft=ft, source="classical-wf part")
 
 
 def make_e_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> EvaluableDistribution:
     """Fourier dual of a classical construction: e-type singularities at
     (omega_i, q_i).  Realized as T_e = F^{-1} S where S carries the classical
-    wave front {(q_i, -omega_i)}."""
-    ftfun, z0 = bump_ft(d)
+    wave front {(q_i, -omega_i)}; S is T_e's transform."""
+    ftfun, _ = bump_ft(d)
     dual_pairs = [(q, tuple(-v for v in np.atleast_1d(o))) for o, q in pairs]
     assigns = _classical_assignments(dual_pairs, k_top)
     two_pi_d = (2.0 * math.pi) ** d
 
+    # S's transform at -X, divided by (2 pi)^d term by term
     def evaluator(X):
         acc = np.zeros(X.shape[1], dtype=complex)
         for q, nu, ks in assigns:
@@ -237,71 +226,27 @@ def make_e_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> EvaluableDist
         return acc
 
     S = make_classical_part(dual_pairs, d, k_top)
-
-    def ft_eval(Z):
-        return S.values(Z)
-
-    ft = EvaluableDistribution(d, ft_eval, growth=0.0, source="FT e part")
-    return EvaluableDistribution(
-        d, evaluator, analytic_ft=ft, growth=0.0, source="e-wf part"
-    )
+    return EvaluableDistribution(d, evaluator, analytic_ft=S, source="e-wf part")
 
 
 def make_prescribed(
     spec: PrescribedWfSpec, d: int, K_max: int = 3, k_top: int = 7
 ) -> EvaluableDistribution:
-    """T = T_e + T_psi + T_psi-e for a finite prescription; the analytic FT
-    is attached term by term."""
-    parts: List[EvaluableDistribution] = []
+    """T = T_e + T_psi + T_psi-e for a finite prescription: the weighted
+    g-trains, the classical part and the e part, summed in that order with
+    their analytic FTs; the empty prescription is zero."""
     weights = spec.weights or [2.0 ** (-l) for l in range(len(spec.asymptotic))]
+    terms, ft_terms = [], []
     for (o, e), w in zip(spec.asymptotic, weights):
         g = make_g(o, e, K_max=K_max)
-        parts.append(_scaled(g, w, d))
+        terms.append(lambda X, w=w, v=g.values: w * v(X))
+        ft_terms.append(lambda Z, w=w, v=g.ft().values: w * v(Z))
+    parts = []
     if spec.classical:
         parts.append(make_classical_part(spec.classical, d, k_top))
     if spec.e_part:
         parts.append(make_e_part(spec.e_part, d, k_top))
-    if not parts:
-        zero = EvaluableDistribution(
-            d,
-            lambda X: np.zeros(X.shape[1], dtype=complex),
-            growth=0.0,
-            source="zero",
-        )
-        zero.analytic_ft = EvaluableDistribution(
-            d, lambda X: np.zeros(X.shape[1], dtype=complex), growth=0.0, source="zero"
-        )
-        return zero
-
-    def evaluator(X):
-        acc = parts[0].values(X)
-        for prt in parts[1:]:
-            acc = acc + prt.values(X)
-        return acc
-
-    def ft_eval(Z):
-        acc = parts[0].ft().values(Z)
-        for prt in parts[1:]:
-            acc = acc + prt.ft().values(Z)
-        return acc
-
-    ft = EvaluableDistribution(d, ft_eval, growth=0.0, source="FT prescribed")
-    return EvaluableDistribution(
-        d, evaluator, analytic_ft=ft, growth=0.0, source="prescribed-wf"
-    )
-
-
-def _scaled(dist: EvaluableDistribution, w: float, d: int) -> EvaluableDistribution:
-    ft = dist.analytic_ft
-    out = EvaluableDistribution(
-        d,
-        lambda X: w * dist.values(X),
-        analytic_ft=EvaluableDistribution(
-            d, lambda Z: w * ft.values(Z), growth=ft.growth, source=ft.source
-        )
-        if ft is not None
-        else None,
-        growth=dist.growth,
-        source=f"{w}*{dist.source}",
-    )
-    return out
+    terms += [p.values for p in parts]
+    ft_terms += [p.ft().values for p in parts]
+    ft = EvaluableDistribution(d, _sum(ft_terms), source="FT prescribed")
+    return EvaluableDistribution(d, _sum(terms), analytic_ft=ft, source="prescribed-wf")

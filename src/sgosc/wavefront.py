@@ -34,13 +34,11 @@ class EvaluableDistribution:
         d: int,
         evaluator: Callable[[np.ndarray], np.ndarray],
         analytic_ft: Optional["EvaluableDistribution"] = None,
-        growth: float = 0.0,
         source: str = "",
     ):
         self.d = d
         self.evaluator = evaluator
         self.analytic_ft = analytic_ft
-        self.growth = growth
         self.source = source
 
     def values(self, X) -> np.ndarray:

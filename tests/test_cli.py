@@ -52,6 +52,24 @@ def test_unknown_command_exits_2(capsys):
     assert run({"command": "frobnicate"}) == 2
 
 
+def test_non_integrable_regularization_exits_3_with_diagnostic(capsys):
+    # IntegrabilityError subclasses ValueError; it is a numerical failure
+    code = run(
+        {
+            "command": "eval-oscint",
+            "phase": "sep-power",
+            "amplitude": "one",
+            "testfn": "gauss",
+            "r": 1,
+            "box": [6, 6],
+        }
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "diagnostic" in err
+    assert "non-integrable" in err["error"]
+
+
 def test_eval_oscint_with_oracle(tmp_path, capsys):
     code = run(
         {
@@ -160,6 +178,23 @@ def test_wf_scan_catalog_gtrain_and_determinism(tmp_path):
     singular = [r.split(",")[:5] for r in rows[1:] if r.split(",")[4] == "singular"]
     assert singular == [["boundary", "1", "boundary", "1", "singular"]]
     assert json.loads(first_json)["singular"] == 1
+
+
+def test_wf_scan_default_protocol_finds_gtrain_corner(tmp_path):
+    """With no protocol overrides (1-D: box 64, ngrid 2048, n_dirs 2) the
+    g-train's one singular cell is the corner (1, 1)."""
+    cfg = {
+        "command": "wf-scan",
+        "distribution": {"catalog": "g-train", "omega": [1.0], "eta": [1.0]},
+        "out_csv": str(tmp_path / "wf.csv"),
+        "out_json": str(tmp_path / "wf.json"),
+    }
+    assert run(cfg) == 0
+    rows = (tmp_path / "wf.csv").read_text().strip().splitlines()
+    singular = [r.split(",")[:5] for r in rows[1:] if r.split(",")[4] == "singular"]
+    assert singular == [["boundary", "1", "boundary", "1", "singular"]]
+    protocol = json.loads((tmp_path / "wf.json").read_text())["protocol"]
+    assert (protocol["box"], protocol["ngrid"], len(protocol["x_dirs"])) == (64.0, 2048, 2)
 
 
 @pytest.mark.parametrize(

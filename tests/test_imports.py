@@ -1,5 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses (there is no linter in the toolchain, so this test is the check)."""
+uses, and no private module-level function, class or constant goes
+unreferenced in the package (there is no linter in the toolchain, so these
+tests are the check)."""
 
 import ast
 from pathlib import Path
@@ -46,3 +48,47 @@ def test_no_unused_module_imports():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert not unused, "unused module-level imports:\n" + "\n".join(unused)
+
+
+def _private_definitions(node):
+    """Private (single-underscore) names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(node):
+    """Names a statement reads, as bare names, attributes or imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_no_unreferenced_private_definitions():
+    statements = [
+        (p.name, node)
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.parse(p.read_text()).body
+    ]
+    refs = [(node, _references(node)) for _, node in statements]
+    dead = [
+        f"{module}:{node.lineno}: {name}"
+        for module, node in statements
+        for name in _private_definitions(node)
+        # a reference inside the definition itself (recursion) does not count
+        if not any(name in used for other, used in refs if other is not node)
+    ]
+    assert statements
+    assert not dead, "unreferenced private definitions:\n" + "\n".join(dead)
