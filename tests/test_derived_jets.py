@@ -47,7 +47,7 @@ def _points(k, radii, seed):
 def _digest(jets):
     h = hashlib.sha256()
     for j in jets:
-        h.update(j.c.tobytes())
+        h.update(np.asarray(j.c, dtype=complex).tobytes())
     return h.hexdigest()
 
 
