@@ -106,6 +106,25 @@ class KgSpec:
         )
 
 
+def kg11_gauss_pairing(mass: float = 1.0, cutoff: Optional[float] = None) -> complex:
+    """<I_phi(a), e^{-|x|^2}> in closed form for the kg11 phase with the kg11
+    amplitude (cutoff None: the two-point function) or the kg11-trunc
+    amplitude of that cutoff.  The x-integral is the Gaussian transform
+    pi e^{-(xi^2 + omega^2)/4}; with the normalization i/(4 pi) this leaves
+    (i/4) int e^{-(2 xi^2 + m^2)/4} omega(xi)^-1 rho(xi) dxi, where
+    rho = e^{-xi^2/cutoff^2}, or 1 when cutoff is None."""
+    from scipy.integrate import quad  # imported here: it adds 0.2 s to importing sgosc
+
+    m2 = KgSpec(mass, 1).mass ** 2  # KgSpec refuses a mass <= 0
+    inv_c2 = 0.0 if cutoff is None else 1.0 / cutoff**2
+
+    def integrand(xi):
+        return math.exp(-(2.0 * xi * xi + m2) / 4.0 - xi * xi * inv_c2) / math.sqrt(m2 + xi * xi)
+
+    val, _ = quad(integrand, -math.inf, math.inf, epsabs=0.0, epsrel=1e-13)
+    return 1j * val / 4.0
+
+
 # -- set oracles -------------------------------------------------------------------
 
 

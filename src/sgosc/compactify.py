@@ -157,7 +157,7 @@ def bump_profile(t) -> np.ndarray:
 
 def bump_profile_jet(tj: Jet) -> Jet:
     """Jet of the bump profile; branches are selected per batch column."""
-    t0 = tj.value.real
+    t0 = tj.value
 
     def build(mid):
         s = 2.0 * tj.columns(mid) - 1.0

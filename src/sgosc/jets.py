@@ -7,9 +7,10 @@ primitives (exp, sin, cos, powers, log) are exact truncated Taylor algebra.
 Every derivative used anywhere in the package comes from this module; finite
 differences appear only as test oracles.
 
-Coefficients are Taylor coefficients c_gamma = d^gamma f / gamma!, stored as a
-complex array of shape (ncoef, batch).  Multi-indices are ordered by total
-degree first, so truncating a jet to a lower order is a row slice.
+Coefficients are Taylor coefficients c_gamma = d^gamma f / gamma!, stored as an
+array of shape (ncoef, batch) in the dtype of the jet's data: float64 for real
+inputs, complex128 once a complex value enters.  Multi-indices are ordered by
+total degree first, so truncating a jet to a lower order is a row slice.
 """
 
 from __future__ import annotations
@@ -90,10 +91,8 @@ def _deriv_table(nvars: int, order: int, var: int):
 
 
 def _as_batch(values) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
-    if v.ndim == 0:
-        v = v[None]
-    return v
+    v = np.atleast_1d(values)
+    return v.astype(np.result_type(v, 1.0), copy=False)
 
 
 class Jet:
@@ -110,14 +109,14 @@ class Jet:
     @classmethod
     def constant(cls, space: JetSpace, values) -> "Jet":
         v = _as_batch(values)
-        c = np.zeros((space.ncoef, v.shape[-1]), dtype=complex)
+        c = np.zeros((space.ncoef, v.shape[-1]), dtype=v.dtype)
         c[0] = v
         return cls(space, c)
 
     @classmethod
     def variable(cls, space: JetSpace, var: int, values) -> "Jet":
         v = _as_batch(values)
-        c = np.zeros((space.ncoef, v.shape[-1]), dtype=complex)
+        c = np.zeros((space.ncoef, v.shape[-1]), dtype=v.dtype)
         c[0] = v
         if space.order >= 1:
             e = tuple(1 if i == var else 0 for i in range(space.nvars))
@@ -128,12 +127,13 @@ class Jet:
     def piecewise(cls, space: JetSpace, live, build, one=None) -> "Jet":
         """Jet over the columns of the mask live: build(live)'s coefficients
         on the live columns, the constant 1 on the columns one and 0 on the
-        rest.  build is called only when some column is live."""
-        c = np.zeros((space.ncoef, len(live)), dtype=complex)
+        rest, in the dtype of build's jet.  build is called only when some
+        column is live."""
+        part = build(live).c if np.any(live) else np.zeros((space.ncoef, 0))
+        c = np.zeros((space.ncoef, len(live)), dtype=part.dtype)
         if one is not None:
             c[0, one] = 1.0
-        if np.any(live):
-            c[:, live] = build(live).c
+        c[:, live] = part
         return cls(space, c)
 
     # -- basic properties ---------------------------------------------
@@ -217,10 +217,10 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c * complex(other))
+            return Jet(self.space, self.c * other)
         a, b = self._coerce(other)
         sp = a.space
-        out = np.empty_like(a.c)
+        out = np.empty(a.c.shape, np.result_type(a.c, b.c))
         for k, (ia, ib) in enumerate(sp.prod):
             out[k] = np.sum(a.c[ia] * b.c[ib], axis=0)
         return Jet(sp, out)
@@ -230,7 +230,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.c / complex(other))
+            return Jet(self.space, self.c / other)
         a, b = self._coerce(other)
         return a * b.recip()
 
@@ -293,7 +293,7 @@ class Jet:
 
 
 def _series_exp(u0, order):
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
     out[0] = np.exp(u0)
     for j in range(1, order + 1):
         out[j] = out[j - 1] / j
@@ -305,22 +305,20 @@ def _series_sincos(u0, order, shift):
     s, c, -s, -c, and those of cos a quarter-turn later."""
     s, c = np.sin(u0), np.cos(u0)
     cyc = [s, c, -s, -c]
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
     for j in range(order + 1):
         out[j] = cyc[(j + shift) % 4] / math.factorial(j)
     return out
 
 
 def _check_positive(u0, what):
-    if np.any(np.abs(u0.imag) > 1e-9 * (1.0 + np.abs(u0.real))) or np.any(
-        u0.real <= 0.0
-    ):
+    if np.iscomplexobj(u0) or np.any(u0 <= 0):
         raise ValueError(f"{what} requires a positive real argument")
 
 
 def _series_power(u0, order, p):
     _check_positive(u0, f"jet power {p}")
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
     out[0] = np.power(u0, p)
     for j in range(1, order + 1):
         out[j] = out[j - 1] * (p - (j - 1)) / (j * u0)
@@ -330,7 +328,7 @@ def _series_power(u0, order, p):
 def _series_recip(u0, order):
     if np.any(np.abs(u0) < 1e-300):
         raise ValueError("jet reciprocal at a zero value")
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
     out[0] = 1.0 / u0
     for j in range(1, order + 1):
         out[j] = -out[j - 1] / u0
@@ -339,7 +337,7 @@ def _series_recip(u0, order):
 
 def _series_log(u0, order):
     _check_positive(u0, "jet log")
-    out = np.empty((order + 1,) + u0.shape, dtype=complex)
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
     out[0] = np.log(u0)
     for j in range(1, order + 1):
         out[j] = (-1.0) ** (j - 1) / (j * np.power(u0, j))
@@ -379,14 +377,14 @@ def base_points(xj, kj):
     def stack(js):
         if not js:
             return np.zeros((0, first.batch))
-        return np.stack([j.value.real for j in js])
+        return np.stack([j.value for j in js])
 
     return stack(xj), stack(kj), first.order
 
 
 def radius(vs) -> np.ndarray:
     """Euclidean norm of the real base values of a list of jets."""
-    return np.sqrt(np.sum(np.stack([v.value.real**2 for v in vs]), axis=0))
+    return np.sqrt(np.sum(np.stack([v.value**2 for v in vs]), axis=0))
 
 
 def norm2_jet(vs) -> Jet:

@@ -502,7 +502,7 @@ def eval_pointwise(
         dirs = DEFAULT_PROTOCOL.dirs(s)
         K = (taus[:, None, None] * dirs[None, :, :]).reshape(-1, s).T
         X = np.repeat(x[:, None], K.shape[1], axis=1)
-        g = phi.grad_xi(X, K).real
+        g = phi.grad_xi(X, K)
         return float(np.min(np.sum(g * g, axis=0)))
 
     if k == 0:

@@ -159,16 +159,18 @@ def eta(phi: PhaseFn, x, xi) -> np.ndarray:
 def check_admissible(
     phi: PhaseFn, protocol: ScanProtocol = DEFAULT_PROTOCOL
 ) -> AdmissibilityReport:
-    """Global ellipticity of eta at order (2n, 2nu); fails loudly on
-    non-real phases.  The report is cached on the phase under its protocol
-    and is also the phase's latest report, phi.admissibility."""
+    """Global ellipticity of eta at order (2n, 2nu); fails loudly on a
+    phase with complex values, even with a zero imaginary part, so that the
+    gradients of an admissible phase are real.  The report is cached on the
+    phase under its protocol and is also the phase's latest report,
+    phi.admissibility."""
     n, nu = phi.order
     radii = (0.0,) + tuple(protocol.admiss_radii[:6])
     X, K = _sample_pairs(phi.d, phi.s, protocol, radii, radii)
     vals = phi.value(X, K)
     max_imag = float(np.max(np.abs(vals.imag) / (1.0 + np.abs(vals.real))))
-    if max_imag > 1e-12:
-        raise NotAdmissibleError(f"phase has non-real values (relative imag {max_imag})")
+    if np.iscomplexobj(vals):
+        raise NotAdmissibleError(f"phase has complex values (relative imag {max_imag})")
     res = globally_elliptic(
         eta_symbol(phi), (2 * n, 2 * nu), protocol, radii=protocol.admiss_radii
     )
@@ -368,7 +370,7 @@ def spphi_classify(
             xi_center, phi.s, protocol, center_dir=ck, delta=delta, radii=sp_radii
         )
         X, K, valid = cross_sides(gx, gk)
-        gradx, gradk = (g.real for g in phi.gradients(X, K))
+        gradx, gradk = phi.gradients(X, K)
         m_pt = (
             np.sum(gradk * gradk, axis=0)
             * japanese_bracket(X) ** (-2.0 * n)
@@ -516,7 +518,7 @@ def sp_angle_test(
         gx = side_grid(y, phi.d, protocol)
         gk = side_grid(cell.point[1], phi.s, protocol, radii=taus)
         X, K, _ = cross_sides(gx, gk)
-        grad = phi.grad_x(X, K).real
+        grad = phi.grad_x(X, K)
         ng = np.linalg.norm(grad, axis=0)
         cosang = np.tensordot(omega.array, grad, axes=(0, 0)) / np.where(
             ng > 0, ng, 1.0

@@ -313,15 +313,15 @@ class RegularizerQp:
     protocol: ScanProtocol
 
     def eta_p(self, x, xi, p) -> np.ndarray:
-        g = self.phi.grad_x(x, xi).real
+        g = self.phi.grad_x(x, xi)
         return np.sum((g - p) ** 2, axis=0)
 
     def residual(self, x, xi, p) -> np.ndarray:
         """|tQ e^{i(phi - x.p)} - psi_y e^{i(phi - x.p)}|."""
         x, xi, p = as_columns(x), as_columns(xi), as_columns(p)
-        g = self.phi.grad_x(x, xi).real
+        g = self.phi.grad_x(x, xi)
         etap = np.sum((g - p) ** 2, axis=0)
-        psi = self.psi_y.value(x).real
+        psi = self.psi_y.value(x)
         E = np.exp(1j * (self.phi.value(x, xi) - np.sum(x * p, axis=0)))
         # tQ f = -b.grad_x f with b = i etap^-1 psi (g - p)
         tQE = np.sum((-1j * psi[None, :] * (g - p) / etap) * (1j * (g - p)), axis=0) * E
@@ -345,7 +345,7 @@ def build_Qp(
     gx = side_grid(y, phi.d, protocol)
     gk = side_grid(xi_region, phi.s, protocol)
     X, K, valid = cross_sides(gx, gk)
-    g = phi.grad_x(X, K).real
+    g = phi.grad_x(X, K)
     worst = math.inf
     if q.is_boundary:
         # exact infimum over the covariable cone (projection onto the ray),

@@ -134,20 +134,19 @@ class SymbolFn:
                 lambda xj, kj: self.jet_fn(xj, kj) * other.jet_fn(xj, kj),
                 f"({self.source})*({other.source})",
             )
-        c = complex(other)
         return SymbolFn(
             self.d,
             self.s,
             self.order,
-            lambda xj, kj: self.jet_fn(xj, kj) * c,
-            f"{c}*({self.source})",
+            lambda xj, kj: self.jet_fn(xj, kj) * other,
+            f"{other}*({self.source})",
         )
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, SymbolFn):
-            other = constant_symbol(self.d, self.s, complex(other))
+            other = constant_symbol(self.d, self.s, other)
         self._check_dims(other)
         return SymbolFn(
             self.d,
@@ -163,7 +162,7 @@ class SymbolFn:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-(other if isinstance(other, SymbolFn) else constant_symbol(self.d, self.s, complex(other))))
+        return self + (-(other if isinstance(other, SymbolFn) else constant_symbol(self.d, self.s, other)))
 
     def with_order(self, order, source=None) -> "SymbolFn":
         return SymbolFn(self.d, self.s, order, self.jet_fn, source or self.source)

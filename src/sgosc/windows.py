@@ -87,6 +87,16 @@ def _bump_quad_nodes(n: int = 4000):
     return r, 0.5 * w, flat_bump(r)
 
 
+def _in_blocks(rows, rz, block: int = 256) -> np.ndarray:
+    """rows(rz) on blocks of `block` points, so that the (points x nodes)
+    arrays of bump_ft stay bounded.  rows reduces each point on its own, so
+    the values do not depend on the blocks."""
+    out = np.empty(len(rz))
+    for i in range(0, len(rz), block):
+        out[i : i + block] = rows(rz[i : i + block])
+    return out
+
+
 def bump_ft(dim: int):
     """Evaluator of the Fourier transform of the normalized radial flat bump
     (normalized so the transform equals 1 at 0); supports dim in {1, 2}."""
@@ -94,23 +104,27 @@ def bump_ft(dim: int):
     if dim == 1:
         z0 = 2.0 * np.sum(w * b)
 
+        def rows(rz):
+            return 2.0 * np.sum(w[None, :] * b[None, :] * np.cos(np.outer(rz, r)), axis=1)
+
         def ft(z):
             z = np.atleast_1d(np.asarray(z, dtype=float))
             rz = np.abs(z if z.ndim == 1 else np.linalg.norm(z, axis=0))
-            return (2.0 * np.sum(w[None, :] * b[None, :] * np.cos(np.outer(rz, r)), axis=1)) / z0
+            return _in_blocks(rows, rz) / z0
 
         return ft, z0
     if dim == 2:
         z0 = 2.0 * np.pi * np.sum(w * b * r)
 
+        def rows(rz):
+            return 2.0 * np.pi * np.sum(
+                w[None, :] * b[None, :] * r[None, :] * j0(np.outer(rz, r)), axis=1
+            )
+
         def ft(z):
             z = np.asarray(z, dtype=float)
             rz = np.linalg.norm(np.atleast_2d(z), axis=0) if z.ndim > 1 else np.abs(z)
-            rz = np.atleast_1d(rz)
-            val = 2.0 * np.pi * np.sum(
-                w[None, :] * b[None, :] * r[None, :] * j0(np.outer(rz, r)), axis=1
-            )
-            return val / z0
+            return _in_blocks(rows, np.atleast_1d(rz)) / z0
 
         return ft, z0
     raise ValueError("bump_ft supports dimensions 1 and 2")

@@ -10,6 +10,7 @@ from sgosc.catalog import (
     get_distribution,
     get_phase,
     get_testfn,
+    kg11_gauss_pairing,
     kg_ft_support_check,
     kg_mphi_distance,
     kg_mphi_oracle,
@@ -18,6 +19,7 @@ from sgosc.catalog import (
     list_catalog,
 )
 from sgosc.compactify import CompactPoint
+from sgosc.oscint import SchwartzFn, direct_quadrature
 from sgosc.phase import check_admissible
 from sgosc.symbols import verify_order
 
@@ -178,6 +180,21 @@ def test_reduced_amplitude_normalization():
     full = KgSpec(1.0, 3).amplitude()
     v4 = full.value(np.zeros((4, 1)), np.zeros((3, 1)))[0]
     assert v4 == pytest.approx(1j / (4 * (2 * math.pi) ** 3))
+
+
+def test_kg11_gauss_pairing_matches_direct_quadrature():
+    exact = kg11_gauss_pairing(cutoff=6.0)
+    res = direct_quadrature(
+        get_phase("kg11"),
+        get_amplitude("kg11-trunc", cutoff=6.0),
+        SchwartzFn.gaussian(2),
+        box=(10.0, 10.0),
+        tol=1e-8,
+    )
+    assert exact.real == 0.0 and abs(res.value - exact) < 1e-8
+    # the untruncated two-point function, which direct quadrature refuses
+    two_point = kg11_gauss_pairing()
+    assert two_point.real == 0.0 and two_point.imag == pytest.approx(0.3853766878120756, rel=1e-12)
 
 
 def test_catalog_registry():

@@ -94,14 +94,14 @@ def _cutoff_jets():
 
 
 PINNED = {
-    "component_jets": "099bf3d2b0f223a27cf3a912e6363a37a51cf3a9b768276a7239ae7ca740c6ec",
-    "chi_jet": "0b04856a7274ffde775548a4bfe9bbd793809c57062dc0b36ff3d1c8a25b9e25",
-    "gradient_symbols": "1824e0f07a66480a814a18405f49ab3d5f3264dda2b4295515ab275d2e7cb89f",
-    "q_step": "fd4841a4fffa0b2a0fdf5f76aea177d4e58a0a9fe603e9da8e945da41cec9918",
-    "V": "8ff73fcdfac365e331a5cf5db25c55b54196f37b661a4def0a0cfebc44406d4d",
-    "spatial_cutoff": "2b2eccbce2705828b8d9bf99f8e56bdfd7595020b4cb90b3aad8d3dfc3f72afb",
-    "asymptotic_cutoff": "303e648920c0323d56ed5d25a8c9459d8e019738d16ae22c4ba222d71675047f",
-    "bump_profile_jet": "0c0f454c244bd0c2855d6808931efa71c38b793ca6e23b1f0698945e67a8e203",
+    "component_jets": "45447f967b370a5f110955c5506a5be5bcc7fd555add58b4888d37e431f7280f",
+    "chi_jet": "be407f9269bc41ffdaf3da35f34b0e25829f79be03ad161fe2cb499f079ee2f5",
+    "gradient_symbols": "4888cd526c2966fe04dced2f1a777316705af9c51b39b3317163c19ae2aae584",
+    "q_step": "71e725a5009a22f6484549378cfe90bb02aa27efb00997c3d482c346b31e13d1",
+    "V": "d93835eeb67f2d494ed07cb049dded8335cd54f48410a83a05257b19859d386d",
+    "spatial_cutoff": "0ee6eeb4fbc2d865ddeaaa25371536947487f4c48725f6ff0a245ea0ae3c5d72",
+    "asymptotic_cutoff": "4bdf44b2b166fec409d09e784c7af9c2e57bc833753a49adf10a9d9689d47a88",
+    "bump_profile_jet": "39684fc05a62245e2ecb9a229b6135c4e976bca826665435e94806c311fc49f9",
 }
 
 

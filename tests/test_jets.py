@@ -124,7 +124,7 @@ def test_piecewise():
 
     j = Jet.piecewise(sp, live, build, one=one)
     assert len(calls) == 1 and np.array_equal(calls[0], live)
-    assert j.space is sp and j.c.shape == (sp.ncoef, 4) and j.c.dtype == complex
+    assert j.space is sp and j.c.shape == (sp.ncoef, 4) and j.c.dtype == build(live).c.dtype
     # a plateau column is the constant 1, a live column is build's jet,
     # any other column is 0
     assert j.c[0, 0] == 1.0 and not np.any(j.c[1:, 0])
@@ -137,3 +137,30 @@ def test_piecewise():
     none = Jet.piecewise(sp, np.zeros(4, bool), never, one=one)
     assert np.array_equal(none.c[0], [1, 0, 0, 0]) and not np.any(none.c[1:])
     assert not np.any(Jet.piecewise(sp, np.zeros(4, bool), never).c)
+
+
+def test_dtype_follows_data():
+    v = jet_variables(3, np.array([[0.5, 1.5, 2.5], [1.0, -2.0, 0.25]]))
+    assert all(j.c.dtype == np.float64 for j in v)
+    assert (v[0] * 1j).c.dtype == np.complex128
+    # a real jet times a complex one keeps the imaginary part and equals the
+    # complex-by-complex product of the same values bitwise
+    real = (v[0] * v[1] + 2.0).exp()
+    cplx = (v[0] * 1j + v[1]).exp()
+    widened = Jet(real.space, real.c.astype(complex))
+    assert np.array_equal((real * cplx).c, (widened * cplx).c)
+    assert np.array_equal((cplx * real).c, (cplx * widened).c)
+    sp = v[0].space
+    live = np.array([True, False, True])
+    j = Jet.piecewise(sp, live, lambda m: (v[0] * 1j).columns(m).exp())
+    assert j.c.dtype == np.complex128 and np.array_equal(j.c[:, live], (v[0] * 1j).columns(live).exp().c)
+    none = Jet.piecewise(sp, np.zeros(3, bool), lambda m: (v[0] * 1j).columns(m))
+    assert none.c.dtype == np.float64 and not np.any(none.c)
+
+
+def test_sqrt_power_log_reject_complex_jets():
+    # positive values with a zero imaginary part are still complex
+    v = jet_variables(2, np.array([[1.0, 4.0]]))[0] * (1 + 0j)
+    for f in (Jet.sqrt, lambda j: j.power(0.5), Jet.log):
+        with pytest.raises(ValueError):
+            f(v)

@@ -91,6 +91,17 @@ def test_nonreal_phase_fails_loudly():
         check_admissible(PhaseFn(sym.with_order((1, 1)), (1, 1)))
 
 
+def test_phase_values_are_real_and_a_complex_phase_is_refused():
+    phi = KgSpec().phase()
+    x, xi = np.array([[0.5], [1.0], [-1.0], [2.0]]), np.array([[1.0], [0.0], [3.0]])
+    assert all(g.dtype == np.float64 for g in phi.gradients(x, xi))
+    doubled = phi.symbol * 2.0
+    assert doubled.value(x, xi).dtype == np.float64 and doubled.source.startswith("2.0*(")
+    # complex dtype is refused even with a zero imaginary part
+    with pytest.raises(NotAdmissibleError):
+        check_admissible(PhaseFn(phi.symbol * (1 + 0j)))
+
+
 def test_mphi_bracket_phase(bracket_phase):
     # members only on the xi-origin rays: (boundary x-dir, finite xi = 0)
     m = mphi_classify(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sgosc.synth import (
     make_prescribed,
 )
 from sgosc.wavefront import WfProtocol, css_scan, wf_scan
+from sgosc.windows import bump_ft
 
 
 def test_fk_basic_values():
@@ -149,6 +151,24 @@ def test_e_part_duality():
     assert ft_vals.max() > 1e-3
     mask_far = np.abs(zs[0] - 0.5) > 1.2
     assert ft_vals[mask_far].max() < 1e-2 * ft_vals.max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bump_ft_memory_is_bounded_and_blocking_is_invisible(d):
+    ft, _ = bump_ft(d)  # builds and caches the quadrature nodes before tracing
+    rz = np.linspace(0.0, 600.0, 8192)
+    ang = np.random.default_rng(d).uniform(0.0, 2.0 * math.pi, rz.size)
+    Z = rz[None, :] if d == 1 else np.stack([rz * np.cos(ang), rz * np.sin(ang)])
+    tracemalloc.start()
+    try:
+        vals = ft(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    cuts = (0, 700, 3000, rz.size)
+    parts = [ft(Z[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(vals, np.concatenate(parts))
 
 
 def test_spec_json_round_trip():
