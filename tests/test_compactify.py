@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -118,3 +119,14 @@ def test_ball_distance_mixes_finite_and_boundary():
     a = CompactPoint.finite([1e8, 0.0])
     b = CompactPoint.boundary([1.0, 0.0])
     assert ball_distance(a, b) < 1e-7
+
+
+def test_sphere_grids_pinned():
+    """Bitwise pin of sphere_grid(k, n) for k = 1 to 4 and n in 6, 12, 48."""
+    h = hashlib.sha256()
+    for k in (1, 2, 3, 4):
+        for n in (6, 12, 48):
+            h.update(np.ascontiguousarray(sphere_grid(k, n)).tobytes())
+    assert h.hexdigest() == (
+        "cc93061e3581357a463ca80c302984e85ac8150002f2dae934cec066907d4926"
+    )

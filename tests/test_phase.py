@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -264,3 +265,53 @@ def test_grids_classify_cells_in_input_order(kg11):
     assert build_mphi_grid(kg11, []).lookup(pair) is None
     assert build_spphi_grid(kg11, [], mgrid).lookup(pair) is None
     assert WfSet([], None, 1.0).lookup(*pair) is None
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def test_kg_classifiers_pinned(kg4):
+    """Bitwise pin of the M_phi and SP_phi classifiers on KgSpec(1.0, 3): the
+    four on-set groups of criterion 5 at one (theta, sign, t), each SP member
+    with its fiber cell in the M grid, and one cell of each off-set family.
+    The digest covers (label, min_ratio.hex()) of every M cell and (label,
+    min_ratio.hex(), fiber_count) of every SP cell."""
+    fin, dirn = CompactPoint.finite, CompactPoint.direction
+    th, sg, t = sphere_grid(3, 16)[5], -1.0, 1.0
+    om = math.sqrt(1.0 + t * t)
+    e_dir = sg * np.concatenate([[om], t * th]) / math.sqrt(om * om + t * t)
+    m_pairs = [
+        (fin([0, 0, 0, 0]), dirn(th)),
+        (fin(np.concatenate([[sg], th])), dirn(sg * th)),
+        (dirn(_unit(np.concatenate([[sg], th]))), dirn(sg * th)),
+        (dirn(e_dir), fin(t * th)),
+        (fin([0.5, 2, 1, 0]), dirn(sphere_grid(3, 16)[9])),
+        (dirn(sphere_grid(4, 48)[17]), dirn(sphere_grid(3, 12)[4])),
+        (dirn(sphere_grid(4, 48)[30]), fin([1.5, 0, 0])),
+    ]
+    sp_pairs = [
+        (fin([0, 0, 0, 0]), dirn(_unit(np.concatenate([[-1.0], th])))),
+        (fin(np.concatenate([[sg], th])), dirn(_unit(np.concatenate([[-1.0], sg * th])))),
+        (
+            dirn(_unit(np.concatenate([[sg], th]))),
+            dirn(_unit(np.concatenate([[-1.0], sg * th]))),
+        ),
+        (dirn(e_dir), fin(np.concatenate([[-om], t * th]))),
+        (fin([1, 2, 0, 0]), dirn(sphere_grid(4, 24)[7])),
+        (dirn(sphere_grid(4, 32)[11]), fin([0, 1.5, 0, 0])),
+        (dirn(sphere_grid(4, 32)[20]), dirn(sphere_grid(4, 12)[3])),
+    ]
+    mgrid = build_mphi_grid(kg4, m_pairs)
+    sgrid = build_spphi_grid(kg4, sp_pairs, mgrid)
+    h = hashlib.sha256()
+    for s in mgrid.samples:
+        h.update(f"{s.classification} {float(s.min_ratio).hex()}\n".encode())
+    for s in sgrid.samples:
+        h.update(f"{s.classification} {float(s.min_ratio).hex()} {s.fiber_count}\n".encode())
+    labels = [s.classification for s in mgrid.samples + sgrid.samples]
+    assert labels == 2 * (4 * ["member"] + 3 * ["nonmember"])
+    assert h.hexdigest() == (
+        "5eb61cafc3ba3db78aa212338a6e926ec66fca429de97e329409134a17d30934"
+    )
