@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -293,8 +294,16 @@ def _angle(a, b) -> float:
 # -- deterministic sphere grids and direction balls -----------------------
 
 
+@lru_cache(maxsize=None)
 def sphere_grid(k: int, n: int) -> np.ndarray:
-    """About n deterministic directions on S^{k-1}, shape (count, k)."""
+    """About n deterministic directions on S^{k-1}, shape (count, k), built
+    once per (k, n) and shared read-only."""
+    g = _sphere_grid(k, n)
+    g.setflags(write=False)
+    return g
+
+
+def _sphere_grid(k: int, n: int) -> np.ndarray:
     if k == 1:
         return np.array([[1.0], [-1.0]])
     if k == 2:

@@ -221,7 +221,16 @@ class Jet:
         a, b = self._coerce(other)
         sp = a.space
         out = np.empty(a.c.shape, np.result_type(a.c, b.c))
-        for k, (ia, ib) in enumerate(sp.prod):
+        # The rows of degree <= 1 pair only with the value row: (0, 0), then
+        # (0, k) and (k, 0).  They are one vectorized step, so an order-1
+        # product costs a dual-number product.  Their sums start from +0.0,
+        # as np.sum's do, so -0.0 + -0.0 reads +0.0 as in the pair table.
+        n1 = min(sp.ncoef, sp.nvars + 1)
+        out[:n1] = 0.0
+        out[0] += a.c[0] * b.c[0]
+        out[1:n1] += a.c[0] * b.c[1:n1]
+        out[1:n1] += a.c[1:n1] * b.c[0]
+        for k, (ia, ib) in enumerate(sp.prod[n1:], n1):
             out[k] = np.sum(a.c[ia] * b.c[ib], axis=0)
         return Jet(sp, out)
 

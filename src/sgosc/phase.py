@@ -371,18 +371,15 @@ def spphi_classify(
         )
         X, K, valid = cross_sides(gx, gk)
         gradx, gradk = phi.gradients(X, K)
-        m_pt = (
-            np.sum(gradk * gradk, axis=0)
-            * japanese_bracket(X) ** (-2.0 * n)
-            * japanese_bracket(K) ** (2.0 - 2.0 * nu)
-        )
+        bx, bk = japanese_bracket(X), japanese_bracket(K)
+        m_pt = np.sum(gradk * gradk, axis=0) * bx ** (-2.0 * n) * bk ** (2.0 - 2.0 * nu)
         if q.is_boundary:
             dist, pnorm = _dist_to_cone(
                 gradx, q.array, protocol.delta, protocol.p_rho_valid
             )
         else:
             dist, pnorm = _dist_to_ball(gradx, q.array, protocol.finite_radius)
-        denom = japanese_bracket(X) ** (n - 1.0) * japanese_bracket(K) ** nu + pnorm
+        denom = bx ** (n - 1.0) * bk ** nu + pnorm
         rv = np.where(valid, np.maximum(dist / denom, m_pt), INF)
         col = int(np.argmin(rv))
         val = float(rv[col])

@@ -130,3 +130,14 @@ def test_sphere_grids_pinned():
     assert h.hexdigest() == (
         "cc93061e3581357a463ca80c302984e85ac8150002f2dae934cec066907d4926"
     )
+
+
+def test_sphere_grid_is_built_once_and_read_only():
+    for k in (1, 2, 3, 4):
+        g = sphere_grid(k, 12)
+        assert sphere_grid(k, 12) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            g *= 2.0

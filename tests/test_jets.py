@@ -164,3 +164,43 @@ def test_sqrt_power_log_reject_complex_jets():
     for f in (Jet.sqrt, lambda j: j.power(0.5), Jet.log):
         with pytest.raises(ValueError):
             f(v)
+
+
+def _pair_table_product(a, b):
+    """The product as the pair table writes it: one np.sum over the pairs of
+    each output row, on operands broadcast to one batch."""
+    ca, cb = np.broadcast_arrays(a.c, b.c)
+    out = np.empty(ca.shape, np.result_type(ca, cb))
+    for k, (ia, ib) in enumerate(a.space.prod):
+        out[k] = np.sum(ca[ia] * cb[ib], axis=0)
+    return out
+
+
+def _signed_zero_coeffs(rng, ncoef, batch, dtype):
+    """Random coefficients with about a third of the entries (of each part)
+    set to +0.0 or -0.0."""
+    c = rng.normal(size=(ncoef, batch))
+    if dtype is complex:
+        c = c + 1j * rng.normal(size=c.shape)
+    for part in (c.real, c.imag) if dtype is complex else (c,):
+        z = rng.random(part.shape) < 0.35
+        part[z] = np.copysign(0.0, rng.normal(size=int(z.sum())))
+    return c
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 7, 8])
+def test_product_matches_pair_table_bitwise(nvars):
+    """Jet * Jet equals the pair-table product byte for byte, signed zeros
+    included, for every dtype mix and for a batch-1 operand on either side."""
+    rng = np.random.default_rng(40 + nvars)
+    B = 23
+    for order in range(5):
+        space = jet_space(nvars, order)
+        for da, db in ((float, float), (float, complex), (complex, float), (complex, complex)):
+            for ba, bb in ((B, B), (1, B), (B, 1)):
+                a = Jet(space, _signed_zero_coeffs(rng, space.ncoef, ba, da))
+                b = Jet(space, _signed_zero_coeffs(rng, space.ncoef, bb, db))
+                got = (a * b).c
+                want = _pair_table_product(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (order, da, db, ba, bb)
