@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -204,3 +207,134 @@ def test_product_matches_pair_table_bitwise(nvars):
                 want = _pair_table_product(a, b)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (order, da, db, ba, bb)
+
+
+# -- the compositions as Horner's rule wrote them -----------------------------
+
+
+def _horner_compose(u, series):
+    """f(u) as Horner's rule in u - u0 over f's univariate Taylor series
+    (shape (order+1, batch)), one full product per order."""
+    du = Jet(u.space, u.c.copy())
+    du.c[0] = 0.0
+    res = Jet.constant(u.space, series[u.order])
+    for j in range(u.order - 1, -1, -1):
+        res = res * du
+        res.c[0] += series[j]
+    return res
+
+
+def _series_exp(u0, order):
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
+    out[0] = np.exp(u0)
+    for j in range(1, order + 1):
+        out[j] = out[j - 1] / j
+    return out
+
+
+def _series_sincos(u0, order, shift):
+    s, c = np.sin(u0), np.cos(u0)
+    cyc = [s, c, -s, -c]
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
+    for j in range(order + 1):
+        out[j] = cyc[(j + shift) % 4] / math.factorial(j)
+    return out
+
+
+def _series_power(u0, order, p):
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
+    out[0] = np.power(u0, p)
+    for j in range(1, order + 1):
+        out[j] = out[j - 1] * (p - (j - 1)) / (j * u0)
+    return out
+
+
+def _series_recip(u0, order):
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
+    out[0] = 1.0 / u0
+    for j in range(1, order + 1):
+        out[j] = -out[j - 1] / u0
+    return out
+
+
+def _series_log(u0, order):
+    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
+    out[0] = np.log(u0)
+    for j in range(1, order + 1):
+        out[j] = (-1.0) ** (j - 1) / (j * np.power(u0, j))
+    return out
+
+
+# name: (the Jet method, its Taylor series, the dtypes it is checked in)
+COMPOSITIONS = {
+    "exp": (Jet.exp, _series_exp, (float, complex)),
+    "sin": (Jet.sin, lambda u0, n: _series_sincos(u0, n, 0), (float, complex)),
+    "cos": (Jet.cos, lambda u0, n: _series_sincos(u0, n, 1), (float, complex)),
+    "sqrt": (Jet.sqrt, lambda u0, n: _series_power(u0, n, 0.5), (float,)),
+    "power(-1.5)": (lambda j: j.power(-1.5), lambda u0, n: _series_power(u0, n, -1.5), (float,)),
+    "recip": (Jet.recip, _series_recip, (float, complex)),
+    "log": (Jet.log, _series_log, (float,)),
+}
+POSITIVE = ("sqrt", "power(-1.5)", "log")
+
+
+@pytest.mark.parametrize("name", list(COMPOSITIONS))
+def test_compositions_match_horner(name):
+    """Every composition equals Horner's rule byte for byte on the rows of
+    degree <= 1, and to 1e-14 of each column's largest coefficient above."""
+    method, series, dtypes = COMPOSITIONS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    B = 29
+    for nvars in (1, 2, 7):
+        for order in range(5):
+            space = jet_space(nvars, order)
+            n1 = min(space.ncoef, nvars + 1)
+            for dtype in dtypes:
+                c = _signed_zero_coeffs(rng, space.ncoef, B, dtype)
+                if name in POSITIVE:
+                    c[0] = rng.uniform(0.5, 3.0, size=B)
+                elif dtype is complex:
+                    c[0] = rng.normal(size=B) + 1j * rng.normal(size=B)
+                else:
+                    c[0] = rng.normal(size=B)
+                if name in ("exp", "sin", "cos") and dtype is float:
+                    # An order-0 jet is its value row, 0.0 + f(u0), which
+                    # turns sin(-0.0) = -0.0 into +0.0, as every order >= 1
+                    # (Horner's included) does; Horner's order-0 constant
+                    # kept -0.0.  So sin's order-0 inputs hold only +0.0.
+                    c[0, :2] = (0.0, 0.0 if (name, order) == ("sin", 0) else -0.0)
+                u = Jet(space, c)
+                got = method(u).c
+                want = _horner_compose(u, series(u.value, order)).c
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got[:n1].tobytes() == want[:n1].tobytes(), (nvars, order, dtype)
+                scale = np.max(np.abs(want), axis=0)
+                dev = np.max(np.abs(got[n1:] - want[n1:]), axis=0, initial=0.0)
+                assert np.all(dev <= 1e-14 * scale), (nvars, order, dtype, np.max(dev / scale))
+
+
+def test_compositions_match_sympy_at_order_4():
+    """All seven compositions of a cubic in two variables, every partial to
+    order 4, against sympy's exact derivatives at 30 digits."""
+    xs, ys = sp.symbols("x y")
+    # dyadic coefficients and points, so the jets' inputs are exact floats
+    terms = {(0, 0): 1.5, (1, 0): 0.375, (0, 1): -0.25, (2, 0): 0.3125, (1, 1): 0.125,
+             (0, 2): -0.1875, (3, 0): 0.0625, (1, 2): -0.09375, (0, 3): 0.15625}
+    pts = np.array([[0.25, -0.75, 0.5, 1.0], [-0.5, 0.5, 0.75, -1.25]])
+    inner = sum(sp.Rational(c) * xs**i * ys**j for (i, j), c in terms.items())
+    v = jet_variables(4, pts)
+    u = sum(c * v[0].ipow(i) * v[1].ipow(j) for (i, j), c in terms.items())
+    assert np.all((u.value > 0.5) & (u.value < 3.0))
+    funcs = {
+        "exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "sqrt": sp.sqrt,
+        "power(-1.5)": lambda e: e ** sp.Rational(-3, 2), "recip": lambda e: 1 / e,
+        "log": sp.log,
+    }
+    for name, f in funcs.items():
+        jet = COMPOSITIONS[name][0](u)
+        for gamma in jet.space.indices:
+            dsym = sp.lambdify((xs, ys), sp.diff(f(inner), xs, gamma[0], ys, gamma[1]), "mpmath")
+            with mpmath.workdps(30):
+                want = np.array([float(dsym(mpmath.mpf(px), mpmath.mpf(py))) for px, py in pts.T])
+            got = jet.partial(gamma)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (name, gamma)
