@@ -2,8 +2,10 @@
 
 A jet stores the value and all partial derivatives up to a fixed order at a
 batch of base points.  Products are truncated Cauchy convolutions, so the
-Leibniz rule holds to machine precision; compositions with smooth univariate
-primitives (exp, sin, cos, powers, log) are exact truncated Taylor algebra.
+Leibniz rule holds to machine precision.  Compositions with smooth univariate
+primitives (exp, sin, cos, powers, the reciprocal, log) go through one driver,
+Jet.compose, which walks the product's pair table once with each primitive's
+Taylor coefficient recurrence, so a composition costs about one product.
 Every derivative used anywhere in the package comes from this module; finite
 differences appear only as test oracles.
 
@@ -65,6 +67,7 @@ class JetSpace:
             for lst in pairs
         ]
         self.fact = np.array([_factorial_multi(g) for g in self.indices], dtype=float)
+        self.degree = np.array([sum(g) for g in self.indices], dtype=float)
 
     def derivative_table(self, var: int):
         """Source indices and factors mapping order-K coefficients to the
@@ -265,92 +268,93 @@ class Jet:
 
     # -- univariate compositions ---------------------------------------
 
-    def compose(self, series: np.ndarray) -> "Jet":
-        """Compose with a univariate function given by its Taylor
-        coefficients (shape (order+1, batch)) at the jet's value."""
-        du = Jet(self.space, self.c.copy())
-        du.c[0] = 0.0
-        res = Jet.constant(self.space, series[self.order])
-        for j in range(self.order - 1, -1, -1):
-            res = res * du
-            res.c[0] += series[j]
-        return res
+    def compose(self, f0, f1, row) -> "Jet":
+        """f(u) for a univariate f with value f0 and derivative f1 at u's
+        value.  The rows of degree <= 1 are the chain rule, summed from +0.0
+        as products are.  Each higher row k, in degree order, is
+        row(v, k, ia, ib) over k's product pairs; it reads only rows of v of
+        lower degree, as row k is still 0."""
+        sp, u = self.space, self.c
+        v = np.zeros(u.shape, np.result_type(u, f0))
+        v[0] += f0
+        v[1 : sp.nvars + 1] += f1 * u[1 : sp.nvars + 1]
+        for k in range(sp.nvars + 1, sp.ncoef):
+            v[k] = row(v, k, *sp.prod[k])
+        return Jet(sp, v)
+
+    # The recurrences below are those of forward-mode Taylor arithmetic
+    # (Griewank & Walther, Evaluating Derivatives, ch. 13) in the Euler
+    # operator E g = sum deg(k) g_k, for which E f(u) = f'(u) E u.
 
     def exp(self) -> "Jet":
-        return self.compose(_series_exp(self.value, self.order))
+        # E v = v E u: v_k = sum Eu[ia] v[ib] / deg_k
+        sp, e = self.space, np.exp(self.value)
+        eu = sp.degree[:, None] * self.c
+        return self.compose(e, e, lambda v, k, ia, ib: np.sum(eu[ia] * v[ib], axis=0) / sp.degree[k])
 
     def sin(self) -> "Jet":
-        return self.compose(_series_sincos(self.value, self.order, 0))
+        return self._sincos(np.sin(self.value), np.cos(self.value))
 
     def cos(self) -> "Jet":
-        return self.compose(_series_sincos(self.value, self.order, 1))
+        return self._sincos(np.cos(self.value), -np.sin(self.value))
+
+    def _sincos(self, f0, g0) -> "Jet":
+        """f(u) for the pair f' = g, g' = -f with values f0 and g0 at u's
+        value: sin is (sin, cos), cos is (cos, -sin).  The partner g's rows
+        are filled alongside f's: f_k = sum Eu[ia] g[ib] / deg_k and
+        g_k = -sum Eu[ia] f[ib] / deg_k."""
+        sp, u = self.space, self.c
+        eu = sp.degree[:, None] * u
+        g = np.zeros(u.shape, np.result_type(u, g0))
+        g[0] = g0
+        g[1 : sp.nvars + 1] = -f0 * u[1 : sp.nvars + 1]
+
+        def row(v, k, ia, ib):
+            g[k] = -np.sum(eu[ia] * v[ib], axis=0) / sp.degree[k]
+            return np.sum(eu[ia] * g[ib], axis=0) / sp.degree[k]
+
+        return self.compose(f0, g0, row)
 
     def sqrt(self) -> "Jet":
-        return self.compose(_series_power(self.value, self.order, 0.5))
+        return self.power(0.5)
 
     def power(self, p: float) -> "Jet":
-        return self.compose(_series_power(self.value, self.order, p))
+        # u E v = p v E u: v_k = sum (p deg_ia - deg_ib) u[ia] v[ib] / (deg_k u0)
+        sp, u, u0 = self.space, self.c, self.value
+        _check_positive(u0, f"jet power {p}")
+        f0 = np.power(u0, p)
+        deg = sp.degree
+
+        def row(v, k, ia, ib):
+            w = (p * deg[ia] - deg[ib])[:, None]
+            return np.sum(w * u[ia] * v[ib], axis=0) / (deg[k] * u0)
+
+        return self.compose(f0, f0 * p / u0, row)
 
     def recip(self) -> "Jet":
-        return self.compose(_series_recip(self.value, self.order))
+        # u v = 1: v_k = -sum u[ia] v[ib] / u0
+        u, u0 = self.c, self.value
+        if np.any(np.abs(u0) < 1e-300):
+            raise ValueError("jet reciprocal at a zero value")
+        f0 = 1.0 / u0
+        return self.compose(f0, -f0 / u0, lambda v, k, ia, ib: -np.sum(u[ia] * v[ib], axis=0) / u0)
 
     def log(self) -> "Jet":
-        return self.compose(_series_log(self.value, self.order))
+        # u E v = E u: v_k = (deg_k u_k - sum deg_ib u[ia] v[ib]) / (deg_k u0)
+        sp, u, u0 = self.space, self.c, self.value
+        _check_positive(u0, "jet log")
+        deg = sp.degree
 
+        def row(v, k, ia, ib):
+            s = np.sum(deg[ib][:, None] * u[ia] * v[ib], axis=0)
+            return (deg[k] * u[k] - s) / (deg[k] * u0)
 
-# -- univariate Taylor coefficient generators ---------------------------
-
-
-def _series_exp(u0, order):
-    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
-    out[0] = np.exp(u0)
-    for j in range(1, order + 1):
-        out[j] = out[j - 1] / j
-    return out
-
-
-def _series_sincos(u0, order, shift):
-    """sin at shift 0, cos at shift 1: the derivatives of sin cycle through
-    s, c, -s, -c, and those of cos a quarter-turn later."""
-    s, c = np.sin(u0), np.cos(u0)
-    cyc = [s, c, -s, -c]
-    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
-    for j in range(order + 1):
-        out[j] = cyc[(j + shift) % 4] / math.factorial(j)
-    return out
+        return self.compose(np.log(u0), 1.0 / u0, row)
 
 
 def _check_positive(u0, what):
     if np.iscomplexobj(u0) or np.any(u0 <= 0):
         raise ValueError(f"{what} requires a positive real argument")
-
-
-def _series_power(u0, order, p):
-    _check_positive(u0, f"jet power {p}")
-    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
-    out[0] = np.power(u0, p)
-    for j in range(1, order + 1):
-        out[j] = out[j - 1] * (p - (j - 1)) / (j * u0)
-    return out
-
-
-def _series_recip(u0, order):
-    if np.any(np.abs(u0) < 1e-300):
-        raise ValueError("jet reciprocal at a zero value")
-    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
-    out[0] = 1.0 / u0
-    for j in range(1, order + 1):
-        out[j] = -out[j - 1] / u0
-    return out
-
-
-def _series_log(u0, order):
-    _check_positive(u0, "jet log")
-    out = np.empty((order + 1,) + u0.shape, dtype=u0.dtype)
-    out[0] = np.log(u0)
-    for j in range(1, order + 1):
-        out[j] = (-1.0) ** (j - 1) / (j * np.power(u0, j))
-    return out
 
 
 # -- vector helpers ------------------------------------------------------

@@ -94,14 +94,14 @@ def _cutoff_jets():
 
 
 PINNED = {
-    "component_jets": "45447f967b370a5f110955c5506a5be5bcc7fd555add58b4888d37e431f7280f",
-    "chi_jet": "be407f9269bc41ffdaf3da35f34b0e25829f79be03ad161fe2cb499f079ee2f5",
-    "gradient_symbols": "4888cd526c2966fe04dced2f1a777316705af9c51b39b3317163c19ae2aae584",
-    "q_step": "71e725a5009a22f6484549378cfe90bb02aa27efb00997c3d482c346b31e13d1",
-    "V": "d93835eeb67f2d494ed07cb049dded8335cd54f48410a83a05257b19859d386d",
-    "spatial_cutoff": "0ee6eeb4fbc2d865ddeaaa25371536947487f4c48725f6ff0a245ea0ae3c5d72",
-    "asymptotic_cutoff": "4bdf44b2b166fec409d09e784c7af9c2e57bc833753a49adf10a9d9689d47a88",
-    "bump_profile_jet": "39684fc05a62245e2ecb9a229b6135c4e976bca826665435e94806c311fc49f9",
+    "component_jets": "a54de8ff27271eb181840fc23fbac1148818233cff965948347099413ca51ca4",
+    "chi_jet": "3ab3e72e979a1f919ee29d3e66a7856efd19d4ae2207cdb544539b2b6ca5ac03",
+    "gradient_symbols": "e0789733f73f6be65e365679c15012b40d2c84b18a525a9442428c1295eddb40",
+    "q_step": "b514b1589f40d32d0d5f5d002010c490a85821d890b1446956ccbf6d04f71bfd",
+    "V": "3f243060034ce59a5b66d41cad75261b475fb8b37bcb72f2aa1437041973b153",
+    "spatial_cutoff": "d74e3b88760c363731f90ceee3d20d0af803e2ef843d83041e98d74f059a5e8f",
+    "asymptotic_cutoff": "281ef8e9ebc5da2c78ce22f814f8d1087442603cdac30d48b06fe4bbc6b7fe70",
+    "bump_profile_jet": "8defe4b04c36be5de92880fd1c7a77fbfe978515897a65c21031732b8d8065a8",
 }
 
 
