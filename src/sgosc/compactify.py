@@ -365,14 +365,11 @@ def direction_ball(center, delta: float, n_ring: int = 6, n_shells: int = 2):
     if k == 1 or delta <= 0:
         return c[None, :]
     tb = tangent_basis(c)  # (k-1, k)
-    out = [c]
-    ring_dirs = sphere_grid(k - 1, n_ring)
-    for s in range(1, n_shells + 1):
-        a = delta * s / n_shells
-        for rd in ring_dirs:
-            t = rd @ tb
-            out.append(math.cos(a) * c + math.sin(a) * t)
-    return np.asarray(out)
+    # one product per ring direction: a single ring_dirs @ tb may round
+    # differently
+    T = np.array([rd @ tb for rd in sphere_grid(k - 1, n_ring)])
+    angles = [delta * s / n_shells for s in range(1, n_shells + 1)]
+    return np.vstack([c] + [math.cos(a) * c + math.sin(a) * T for a in angles])
 
 
 def euclidean_ball(center, radius: float, n_ring: int = 6, n_shells: int = 2):
