@@ -22,6 +22,7 @@ from .oscint import SchwartzFn
 from .phase import PhaseFn
 from .symbols import SymbolFn, constant_symbol
 from .synth import make_fk, make_g
+from .wavefront import EvaluableDistribution, WfProtocol, wf_scan
 
 ATOL = 1e-9
 
@@ -369,8 +370,6 @@ def kg_spphi_distance(pair, spec: KgSpec = KgSpec(), n_arc: int = 80) -> float:
 def mollified_shell(spec: KgSpec, width: float):
     """Gaussian mollification of the negative-shell measure
     delta(k0 + omega(k)) / omega(k), evaluable on R^{1+ds}."""
-    from .wavefront import EvaluableDistribution
-
     m = spec.mass
 
     def evaluator(K):
@@ -397,8 +396,6 @@ def kg_ft_support_check(
     the shell with covariables along its normals, i.e. map onto the
     stationary-phase oracle under the Fourier symmetry; the distance to the
     oracle set must not grow as the mollification width shrinks."""
-    from .wavefront import WfProtocol, wf_scan
-
     spec = spec or KgSpec(1.0, 1)
     if spec.spatial_dim != 1:
         raise ValueError("the shell scan is desk-scale: use the reduced spec")

@@ -17,14 +17,19 @@ import numpy as np
 
 from .compactify import as_columns, as_points, japanese_bracket
 from .jets import base_points, norm2_jet
-from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn
+from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, eval_pairing, make_osc_integral
 from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
 from .symbols import (
     DEFAULT_PROTOCOL,
     ScanProtocol,
     SymbolFn,
+    _sample_pairs,
+    constant_symbol,
+    globally_elliptic,
     order_pair,
+    order_shift,
 )
+from .wavefront import fio_extension_guard
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,8 +76,6 @@ class HalfOperator:
         """Sampled regularity flags: y_elliptic (maps into rapidly decaying),
         xi_elliptic (extends to tempered distributions), component (two-sided
         gradient brackets)."""
-        from .symbols import globally_elliptic
-
         n, nu = order_pair(self.order)
         gy = globally_elliptic(
             grad_x_sq_symbol(self.phi), (2 * n - 2, 2 * nu), self.protocol
@@ -177,7 +180,6 @@ def fourier_half_operator(d: int = 1, inverse: bool = False, ybox: float = 12.0)
         lambda xj, kj: (xj[0] * kj[0]) * (1.0 if inverse else -1.0),
         "y*xi" if inverse else "-y*xi",
     )
-    from .symbols import constant_symbol
 
     return HalfOperator(
         phi=phi_sym,
@@ -239,8 +241,6 @@ def compose(op2: HalfOperator, op1: HalfOperator, grid_max: float = 12.0, grid_n
 
 def phase_component_check(phi_sym: SymbolFn, protocol: ScanProtocol = DEFAULT_PROTOCOL) -> dict:
     """Sampled check of <grad_xi phi> >~ <x> and <grad_x phi> >~ <xi>."""
-    from .symbols import _sample_pairs
-
     X, K = _sample_pairs(
         phi_sym.d,
         phi_sym.s,
@@ -303,8 +303,6 @@ class VRegularizer:
                 out = out - inner.derivative(d + j).derivative(d + j)
             return out
 
-        from .symbols import order_shift
-
         return SymbolFn(d, s, order_shift(a.order, -2.0, 0.0), jet_fn, f"V[{a.source}]")
 
 
@@ -343,8 +341,6 @@ class OscKernelOperator:
         self, f: SchwartzFn, g: SchwartzFn, r="auto", tol: float = 1e-7, box=(8.0, 8.0)
     ):
         """<A f, g> = <K, g tensor f> (kernel variables ordered (x, y))."""
-        from .oscint import eval_pairing, make_osc_integral
-
         I = make_osc_integral(self.phi, self.amplitude, r=r, tol=tol, box=box)
         return eval_pairing(I, tensor_schwartz(g, f)).value
 
@@ -361,8 +357,6 @@ def apply_to_distribution(
     """<A T, f> = <T, tA f>, admitted only when the extension guard holds:
     no classical singular cell (x, p) of T may meet the stationary-phase set
     at (x, -p).  Refused otherwise."""
-    from .wavefront import fio_extension_guard
-
     if not fio_extension_guard(wf_T, sp_grid):
         raise FlagError(
             "distribution input refused: wave front meets the stationary-phase "

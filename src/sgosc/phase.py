@@ -24,6 +24,7 @@ from .compactify import (
     ball_distance,
     japanese_bracket,
     pair_distance,
+    sphere_grid,
 )
 from .jets import base_points, norm2_jet
 from .symbols import (
@@ -439,8 +440,6 @@ def sphere_like_seeds(s: int) -> List[CompactPoint]:
 
 
 def _seed_dirs(s: int) -> np.ndarray:
-    from .compactify import sphere_grid
-
     counts = {1: 2, 2: 8, 3: 14, 4: 24}
     return sphere_grid(s, counts.get(s, 24))
 

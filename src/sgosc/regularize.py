@@ -22,15 +22,19 @@ from .compactify import (
     SphereGaussian,
     as_columns,
     bump_profile_jet,
+    euclidean_ball,
+    japanese_bracket,
     smoothstep_jet,
 )
 from .jets import Jet, base_points, jet_variables, norm2_jet, radius
-from .phase import PhaseFn, require_admissible
+from .phase import PhaseFn, _dist_to_cone, grad_xi_sq_symbol, require_admissible
 from .symbols import (
     DEFAULT_PROTOCOL,
     ScanProtocol,
     SymbolFn,
     cross_sides,
+    order_shift,
+    scaled_ratio,
     side_grid,
 )
 
@@ -168,7 +172,6 @@ def apply_P_r(P: RegularizerP, a: SymbolFn, f=None, r: int = 1) -> SymbolFn:
         raise ValueError("r must be nonnegative")
     n, nu = phi.order
     m, mu = a.order
-    from .symbols import order_shift
 
     out_order = order_shift((m, mu), -r * n, -r * nu)
 
@@ -235,7 +238,6 @@ class RegularizerQ:
     def apply(self, a: SymbolFn) -> SymbolFn:
         phi = self.phi
         n, nu = phi.order
-        from .symbols import order_shift
 
         def jet_fn(xj, kj):
             x, xi, order = base_points(xj, kj)
@@ -284,8 +286,6 @@ def build_Q(
     (2n, 2nu-2) over the localizer's cone support."""
     require_admissible(phi, protocol)
     n, nu = phi.order
-    from .phase import grad_xi_sq_symbol
-    from .symbols import scaled_ratio
 
     X, K, valid = localizer.support_samples(phi.d, phi.s, protocol)
     ratios = scaled_ratio(grad_xi_sq_symbol(phi), (2 * n, 2 * nu - 2), X, K)
@@ -340,7 +340,6 @@ def build_Qp(
     (<x>^(n-1) <xi>^nu + |p|)^2 on the sampled cone support."""
     require_admissible(phi, protocol)
     n, nu = phi.order
-    from .compactify import japanese_bracket
 
     gx = side_grid(y, phi.d, protocol)
     gk = side_grid(xi_region, phi.s, protocol)
@@ -350,15 +349,11 @@ def build_Qp(
     if q.is_boundary:
         # exact infimum over the covariable cone (projection onto the ray),
         # plus the recorded dyadic sweep
-        from .phase import _dist_to_cone
-
         dist, pnorm = _dist_to_cone(g, q.array, protocol.delta, 1.0)
         denom = japanese_bracket(X) ** (n - 1.0) * japanese_bracket(K) ** nu + pnorm
         worst = float(np.min(np.where(valid, dist / denom, math.inf)))
         ps = [rho * q.array for rho in (2.0 ** np.arange(0, 11))]
     else:
-        from .compactify import euclidean_ball
-
         ps = list(euclidean_ball(q.array, protocol.finite_radius))
     for p in ps:
         dist = np.linalg.norm(g - np.asarray(p)[:, None], axis=0)

@@ -25,6 +25,7 @@ from .compactify import (
     japanese_bracket,
     sphere_grid,
 )
+from .exprparse import parse_expression
 from .jets import Jet, jet_variables
 
 INF = math.inf
@@ -187,8 +188,6 @@ def symbol_from_cutoff(cutoff) -> SymbolFn:
 
 def parse_symbol_expr(text: str, dims, order, allow_division: bool = False) -> SymbolFn:
     """Build a SymbolFn from the expression mini-language (see exprparse)."""
-    from .exprparse import parse_expression
-
     d, s = dims
     ast = parse_expression(text, d, s, allow_division=allow_division)
     return SymbolFn(

@@ -1,7 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses, and no private module-level function, class or constant goes
-unreferenced in the package (there is no linter in the toolchain, so these
-tests are the check)."""
+uses, imports a sibling module inside a function, or leaves a private
+module-level function, class or constant unreferenced in the package (there
+is no linter in the toolchain, so these tests are the check)."""
 
 import ast
 from pathlib import Path
@@ -92,3 +92,27 @@ def test_no_unreferenced_private_definitions():
     ]
     assert statements
     assert not dead, "unreferenced private definitions:\n" + "\n".join(dead)
+
+
+def _local_package_imports(path):
+    """Imports of the package's own modules below module level."""
+    tree = ast.parse(path.read_text())
+    top = set(map(id, tree.body))
+    nodes = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and id(node) not in top
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sgosc")
+    ]
+    return [
+        f"{path.name}:{node.lineno}: from {'.' * node.level}{node.module or ''} import "
+        + ", ".join(a.name for a in node.names)
+        for node in sorted(nodes, key=lambda n: n.lineno)
+    ]
+
+
+def test_no_function_local_package_imports():
+    """Sibling modules are imported once, at module level: no import among
+    them needs breaking by a function-local import."""
+    local = [i for p in sorted(SRC.glob("*.py")) for i in _local_package_imports(p)]
+    assert not local, "function-local package imports:\n" + "\n".join(local)
