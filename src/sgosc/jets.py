@@ -284,13 +284,14 @@ class Jet:
 
     # The recurrences below are those of forward-mode Taylor arithmetic
     # (Griewank & Walther, Evaluating Derivatives, ch. 13) in the Euler
-    # operator E g = sum deg(k) g_k, for which E f(u) = f'(u) E u.
+    # operator E g = sum deg(k) g_k, for which E f(u) = f'(u) E u.  Each row
+    # is one einsum over the pairs: sum_p w_p u[ia_p] v[ib_p].
 
     def exp(self) -> "Jet":
-        # E v = v E u: v_k = sum Eu[ia] v[ib] / deg_k
-        sp, e = self.space, np.exp(self.value)
-        eu = sp.degree[:, None] * self.c
-        return self.compose(e, e, lambda v, k, ia, ib: np.sum(eu[ia] * v[ib], axis=0) / sp.degree[k])
+        # E v = v E u: v_k = sum deg_ia u[ia] v[ib] / deg_k
+        u, deg = self.c, self.space.degree
+        e = np.exp(self.value)
+        return self.compose(e, e, lambda v, k, ia, ib: _pair_sum(deg[ia], u[ia], v[ib]) / deg[k])
 
     def sin(self) -> "Jet":
         return self._sincos(np.sin(self.value), np.cos(self.value))
@@ -301,17 +302,16 @@ class Jet:
     def _sincos(self, f0, g0) -> "Jet":
         """f(u) for the pair f' = g, g' = -f with values f0 and g0 at u's
         value: sin is (sin, cos), cos is (cos, -sin).  The partner g's rows
-        are filled alongside f's: f_k = sum Eu[ia] g[ib] / deg_k and
-        g_k = -sum Eu[ia] f[ib] / deg_k."""
-        sp, u = self.space, self.c
-        eu = sp.degree[:, None] * u
+        are filled alongside f's: f_k = sum deg_ia u[ia] g[ib] / deg_k and
+        g_k = -sum deg_ia u[ia] f[ib] / deg_k."""
+        sp, u, deg = self.space, self.c, self.space.degree
         g = np.zeros(u.shape, np.result_type(u, g0))
         g[0] = g0
         g[1 : sp.nvars + 1] = -f0 * u[1 : sp.nvars + 1]
 
         def row(v, k, ia, ib):
-            g[k] = -np.sum(eu[ia] * v[ib], axis=0) / sp.degree[k]
-            return np.sum(eu[ia] * g[ib], axis=0) / sp.degree[k]
+            g[k] = -_pair_sum(deg[ia], u[ia], v[ib]) / deg[k]
+            return _pair_sum(deg[ia], u[ia], g[ib]) / deg[k]
 
         return self.compose(f0, g0, row)
 
@@ -320,16 +320,14 @@ class Jet:
 
     def power(self, p: float) -> "Jet":
         # u E v = p v E u: v_k = sum (p deg_ia - deg_ib) u[ia] v[ib] / (deg_k u0)
-        sp, u, u0 = self.space, self.c, self.value
+        u, u0, deg = self.c, self.value, self.space.degree
         _check_positive(u0, f"jet power {p}")
         f0 = np.power(u0, p)
-        deg = sp.degree
-
-        def row(v, k, ia, ib):
-            w = (p * deg[ia] - deg[ib])[:, None]
-            return np.sum(w * u[ia] * v[ib], axis=0) / (deg[k] * u0)
-
-        return self.compose(f0, f0 * p / u0, row)
+        return self.compose(
+            f0,
+            f0 * p / u0,
+            lambda v, k, ia, ib: _pair_sum(p * deg[ia] - deg[ib], u[ia], v[ib]) / (deg[k] * u0),
+        )
 
     def recip(self) -> "Jet":
         # u v = 1: v_k = -sum u[ia] v[ib] / u0
@@ -337,19 +335,23 @@ class Jet:
         if np.any(np.abs(u0) < 1e-300):
             raise ValueError("jet reciprocal at a zero value")
         f0 = 1.0 / u0
-        return self.compose(f0, -f0 / u0, lambda v, k, ia, ib: -np.sum(u[ia] * v[ib], axis=0) / u0)
+        return self.compose(f0, -f0 / u0, lambda v, k, ia, ib: -np.einsum("pb,pb->b", u[ia], v[ib]) / u0)
 
     def log(self) -> "Jet":
         # u E v = E u: v_k = (deg_k u_k - sum deg_ib u[ia] v[ib]) / (deg_k u0)
-        sp, u, u0 = self.space, self.c, self.value
+        u, u0, deg = self.c, self.value, self.space.degree
         _check_positive(u0, "jet log")
-        deg = sp.degree
+        return self.compose(
+            np.log(u0),
+            1.0 / u0,
+            lambda v, k, ia, ib: (deg[k] * u[k] - _pair_sum(deg[ib], u[ia], v[ib])) / (deg[k] * u0),
+        )
 
-        def row(v, k, ia, ib):
-            s = np.sum(deg[ib][:, None] * u[ia] * v[ib], axis=0)
-            return (deg[k] * u[k] - s) / (deg[k] * u0)
 
-        return self.compose(np.log(u0), 1.0 / u0, row)
+def _pair_sum(w, a, b):
+    """sum_p w_p a_p b_p over the pairs of one row, for a and b of shape
+    (pairs, batch)."""
+    return np.einsum("p,pb,pb->b", w, a, b)
 
 
 def _check_positive(u0, what):

@@ -98,8 +98,8 @@ PINNED = {
     "chi_jet": "3ab3e72e979a1f919ee29d3e66a7856efd19d4ae2207cdb544539b2b6ca5ac03",
     "gradient_symbols": "e0789733f73f6be65e365679c15012b40d2c84b18a525a9442428c1295eddb40",
     "q_step": "b514b1589f40d32d0d5f5d002010c490a85821d890b1446956ccbf6d04f71bfd",
-    "V": "3f243060034ce59a5b66d41cad75261b475fb8b37bcb72f2aa1437041973b153",
-    "spatial_cutoff": "d74e3b88760c363731f90ceee3d20d0af803e2ef843d83041e98d74f059a5e8f",
+    "V": "e72be8cd4123d36c2809a4fcc6b3e768593b803f53c2241a8dbac66da361b2f4",
+    "spatial_cutoff": "a609ac9077787f7f53e8654ff1fa1136fef18c806110027c3a9c880e955c3d0d",
     "asymptotic_cutoff": "281ef8e9ebc5da2c78ce22f814f8d1087442603cdac30d48b06fe4bbc6b7fe70",
     "bump_profile_jet": "8defe4b04c36be5de92880fd1c7a77fbfe978515897a65c21031732b8d8065a8",
 }
