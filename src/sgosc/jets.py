@@ -335,7 +335,9 @@ class Jet:
         if np.any(np.abs(u0) < 1e-300):
             raise ValueError("jet reciprocal at a zero value")
         f0 = 1.0 / u0
-        return self.compose(f0, -f0 / u0, lambda v, k, ia, ib: -np.einsum("pb,pb->b", u[ia], v[ib]) / u0)
+        return self.compose(
+            f0, -f0 / u0, lambda v, k, ia, ib: -np.einsum("pb,pb->b", u[ia], v[ib]) / u0
+        )
 
     def log(self) -> "Jet":
         # u E v = E u: v_k = (deg_k u_k - sum deg_ib u[ia] v[ib]) / (deg_k u0)
