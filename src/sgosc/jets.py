@@ -3,7 +3,7 @@
 A jet stores the value and all partial derivatives up to a fixed order at a
 batch of base points.  Products are truncated Cauchy convolutions, so the
 Leibniz rule holds to machine precision.  Compositions with smooth univariate
-primitives (exp, sin, cos, powers, the reciprocal, log) go through one driver,
+primitives (exp, sin, cos, powers, the reciprocal, log) go through one method,
 Jet.compose, which walks the product's pair table once with each primitive's
 Taylor coefficient recurrence, so a composition costs about one product.
 Every derivative used anywhere in the package comes from this module; finite
