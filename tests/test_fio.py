@@ -30,6 +30,20 @@ def test_apply_half_fourier_gaussian():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("width, center", [(0.5, 0.0), (1.0, 0.7), (2.0, -1.3)])
+def test_fourier_half_operator_matches_closed_form(width, center, inverse):
+    # exp(-(y-c)^2/w^2) -> w sqrt(pi) exp(-w^2 x^2/4 -+ i x c), over 2 pi for F^-1
+    f = SchwartzFn.gaussian(1, width=width, center=[center])
+    xs = np.linspace(-6, 6, 49)
+    got = fourier_half_operator(1, inverse=inverse).apply(f, xs[None, :])
+    sign = 1.0 if inverse else -1.0
+    want = width * math.sqrt(math.pi) * np.exp(-(width * xs) ** 2 / 4 + sign * 1j * xs * center)
+    if inverse:
+        want = want / (2 * math.pi)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_apply_half_zero_amplitude():
     phi = parse_symbol_expr("jb(x)*jb(k)", (1, 1), (1, 1))
     op = HalfOperator(phi=phi, amplitude=constant_symbol(1, 1, 0.0))
