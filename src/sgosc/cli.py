@@ -379,7 +379,7 @@ def _cmd_fio_apply(config: dict) -> int:
             if op_cfg.get("amplitude", "one") in cat.AMPLITUDES
             else parse_symbol_expr(op_cfg["amplitude"], (1, 1), tuple(op_cfg.get("amp_order", (0, 0))))
         )
-        outer = HalfOperator(phi=phi_sym, amplitude=amp, order=order)
+        outer = HalfOperator(phi=phi_sym, amplitude=amp)
         comp = compose(outer, fourier_half_operator(1))
         vals = comp.apply(f, xs[None, :])
     else:

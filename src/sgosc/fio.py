@@ -4,6 +4,9 @@ Half operators [A f](xi) = int e^{i phi(y, xi)} a(y, xi) f(y) dy carry
 regularity flags (does the y-gradient or the xi-gradient of the phase stay
 elliptic; is the phase a component in the two-sided bracket sense); composite
 operators are numerical compositions through an intermediate uniform grid.
+The Fourier transform is an ordinary half operator (phase -y.xi, amplitude 1;
+its inverse y.xi and (2 pi)^-1), so every half operator and every composite
+sums its quadrature nodes through the one HalfOperator._node_sum.
 The Klein-Gordon evolution is the worked two-term composite example, kept in
 its literal form.
 """
@@ -17,7 +20,14 @@ import numpy as np
 
 from .compactify import as_columns, as_points, japanese_bracket
 from .jets import base_points, norm2_jet
-from .oscint import GK_NODES, GK_WEIGHTS, SchwartzFn, eval_pairing, make_osc_integral
+from .oscint import (
+    GK_NODES,
+    GK_WEIGHTS,
+    NonConvergenceError,
+    SchwartzFn,
+    eval_pairing,
+    make_osc_integral,
+)
 from .phase import PhaseFn, grad_x_sq_symbol, grad_xi_sq_symbol
 from .symbols import (
     DEFAULT_PROTOCOL,
@@ -56,11 +66,7 @@ class HalfOperator:
 
     phi: SymbolFn
     amplitude: SymbolFn
-    order: tuple = (1.0, 1.0)
     ybox: float = 10.0
-    is_fourier: bool = False
-    fourier_sign: float = -1.0
-    fourier_scale: float = 1.0
     flags: dict = field(default_factory=dict)
     protocol: ScanProtocol = DEFAULT_PROTOCOL
 
@@ -76,7 +82,7 @@ class HalfOperator:
         """Sampled regularity flags: y_elliptic (maps into rapidly decaying),
         xi_elliptic (extends to tempered distributions), component (two-sided
         gradient brackets)."""
-        n, nu = order_pair(self.order)
+        n, nu = order_pair(self.phi.order)
         gy = globally_elliptic(
             grad_x_sq_symbol(self.phi), (2 * n - 2, 2 * nu), self.protocol
         )
@@ -98,10 +104,9 @@ class HalfOperator:
 
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
         """Pointwise values at out_points (d_out, B) by composite quadrature
-        over y, with panel doubling until the change is below tol."""
+        over y, with panel doubling until the change is below tol; refused
+        with NonConvergenceError if four rules never agree."""
         pts = as_points(out_points, self.d_out)
-        if self.is_fourier:
-            return self._fourier_apply(f, pts, tol)
         freq = float(
             np.max(
                 np.abs(
@@ -112,34 +117,32 @@ class HalfOperator:
             )
         )
         n_panels = max(8, int(self.ybox * max(freq, 1.0) / 6.0))
-        prev = None
-        for _ in range(4):
+        prev = self._apply_panels(f, pts, n_panels)
+        for _ in range(3):
+            n_panels *= 2
             val = self._apply_panels(f, pts, n_panels)
-            if prev is not None and np.max(np.abs(val - prev)) < tol * (
-                1.0 + np.max(np.abs(val))
-            ):
+            change = float(np.max(np.abs(val - prev)))
+            if change < tol * (1.0 + np.max(np.abs(val))):
                 return val
             prev = val
-            n_panels *= 2
-        return prev
+        raise NonConvergenceError(
+            f"half-operator quadrature changed by {change:.3g} at {n_panels} panels",
+            {"panels": n_panels, "change": change, "tol": tol},
+        )
 
     def _apply_panels(self, f, pts, n_panels):
+        nodes, weights = _panel_rule(-self.ybox, self.ybox, n_panels)
+        return self._node_sum(nodes, weights * f.value(nodes[None, :]), pts)
+
+    def _node_sum(self, nodes, wg, pts):
+        """sum_j e^{i phi(y_j, p)} a(y_j, p) wg_j at each output point p."""
         if self.d_in != 1:
             raise NotImplementedError("half-operator quadrature is 1d in y")
-        nodes, weights = _panel_rule(-self.ybox, self.ybox, n_panels)
         ny, nb = len(nodes), pts.shape[1]
         XI = np.repeat(pts, ny, axis=1)
-        Yflat = np.tile(nodes, nb)[None, :]
-        ph = self.phi.value(Yflat, XI)
-        amp = self.amplitude.value(Yflat, XI)
-        fv = f.value(Yflat)
-        integ = (np.exp(1j * ph) * amp * fv).reshape(nb, ny)
-        return integ @ weights
-
-    def _fourier_apply(self, f, pts, tol):
-        nodes, weights = _panel_rule(-self.ybox, self.ybox, 64)
-        phase = np.exp(1j * self.fourier_sign * np.outer(pts.ravel(), nodes))
-        return self.fourier_scale * phase @ (weights * f.value(nodes[None, :]))
+        Y = np.tile(nodes, nb)[None, :]
+        integ = np.exp(1j * self.phi.value(Y, XI)) * self.amplitude.value(Y, XI)
+        return integ.reshape(nb, ny) @ wg
 
     def transpose(self) -> "HalfOperator":
         """Swap the integration and output variables."""
@@ -157,20 +160,12 @@ class HalfOperator:
             lambda xj, kj, inner=self.amplitude: inner.jet_fn(kj, xj),
             f"t[{self.amplitude.source}]",
         )
-        return HalfOperator(
-            phi=swapped,
-            amplitude=amp,
-            order=(self.order[1], self.order[0]),
-            ybox=self.ybox,
-            is_fourier=self.is_fourier,
-            fourier_sign=self.fourier_sign,
-            fourier_scale=self.fourier_scale,
-            protocol=self.protocol,
-        )
+        return HalfOperator(phi=swapped, amplitude=amp, ybox=self.ybox, protocol=self.protocol)
 
 
 def fourier_half_operator(d: int = 1, inverse: bool = False, ybox: float = 12.0) -> HalfOperator:
-    """F (or its inverse carrying the (2 pi)^-d factor) as a half operator."""
+    """F (or its inverse carrying the (2 pi)^-d factor) as a half operator:
+    phase -+ y.xi and a constant amplitude."""
     if d != 1:
         raise NotImplementedError("fourier half-operators are 1d")
     phi_sym = SymbolFn(
@@ -180,16 +175,8 @@ def fourier_half_operator(d: int = 1, inverse: bool = False, ybox: float = 12.0)
         lambda xj, kj: (xj[0] * kj[0]) * (1.0 if inverse else -1.0),
         "y*xi" if inverse else "-y*xi",
     )
-
-    return HalfOperator(
-        phi=phi_sym,
-        amplitude=constant_symbol(1, 1, 1.0),
-        order=(1.0, 1.0),
-        ybox=ybox,
-        is_fourier=True,
-        fourier_sign=1.0 if inverse else -1.0,
-        fourier_scale=(1.0 / TWO_PI) ** d if inverse else 1.0,
-    )
+    amp = constant_symbol(1, 1, TWO_PI**-d if inverse else 1.0)
+    return HalfOperator(phi=phi_sym, amplitude=amp, ybox=ybox)
 
 
 @dataclass
@@ -204,35 +191,23 @@ class ComposedOperator:
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
         pts = as_points(out_points, self.outer.d_out)
         dxi = 2.0 * self.grid_max / self.grid_n
-        xi = (-self.grid_max + (np.arange(self.grid_n) + 0.5) * dxi)[None, :]
-        inner_vals = self.inner.apply(f, xi, tol=tol)
-        if self.outer.is_fourier:
-            phase = np.exp(
-                1j * self.outer.fourier_sign * np.outer(pts.ravel(), xi.ravel())
-            )
-            return self.outer.fourier_scale * phase @ (dxi * inner_vals)
-        nb = pts.shape[1]
-        XI = np.tile(xi.ravel(), nb)[None, :]
-        X = np.repeat(pts, self.grid_n, axis=1)
-        ph = self.outer.phi.value(XI, X)
-        amp = self.outer.amplitude.value(XI, X)
-        integ = (np.exp(1j * ph) * amp).reshape(nb, self.grid_n)
-        return integ @ (dxi * inner_vals)
+        xi = -self.grid_max + (np.arange(self.grid_n) + 0.5) * dxi
+        inner_vals = self.inner.apply(f, xi[None, :], tol=tol)
+        return self.outer._node_sum(xi, dxi * inner_vals, pts)
 
 
 def compose(op2: HalfOperator, op1: HalfOperator, grid_max: float = 12.0, grid_n: int = 384) -> ComposedOperator:
     """op2 after op1; requires a flag making the intermediate function
-    integrable (op1 mapping into rapidly decaying functions, a Fourier
-    factor, or a decaying outer amplitude)."""
-    if not op1.is_fourier:
-        if not op1.flags:
-            op1.check_flags()
-        ok = op1.flags.get("y_elliptic") or op1.flags.get("component")
-        if not ok and op2.amplitude.order[1] >= -op2.phi.s:
-            raise FlagError(
-                "inner operator lacks a decay flag and the outer amplitude "
-                "does not decay; composition undefined at this rigor level"
-            )
+    integrable (op1 mapping into rapidly decaying functions, op1 a phase
+    component, which a Fourier factor is, or a decaying outer amplitude)."""
+    if not op1.flags:
+        op1.check_flags()
+    ok = op1.flags.get("y_elliptic") or op1.flags.get("component")
+    if not ok and op2.amplitude.order[1] >= -op2.phi.s:
+        raise FlagError(
+            "inner operator lacks a decay flag and the outer amplitude "
+            "does not decay; composition undefined at this rigor level"
+        )
     return ComposedOperator(outer=op2, inner=op1, grid_max=grid_max, grid_n=grid_n)
 
 

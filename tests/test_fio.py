@@ -16,7 +16,7 @@ from sgosc.fio import (
     kg_evolve,
     phase_component_check,
 )
-from sgosc.oscint import SchwartzFn, adaptive_tensor
+from sgosc.oscint import NonConvergenceError, SchwartzFn, adaptive_tensor
 from sgosc.phase import PhaseFn, check_admissible
 from sgosc.symbols import constant_symbol, parse_symbol_expr
 
@@ -71,6 +71,38 @@ def test_apply_half_matches_direct_quadrature():
         assert abs(g - val) < 1e-6 * (1 + abs(val))
 
 
+def test_half_operator_refuses_unconverged():
+    # e^{5 i y^3} against a gaussian: four panel doublings never agree to tol
+    phi = parse_symbol_expr("x1^3*k1", (1, 1), (3, 1))
+    op = HalfOperator(phi=phi, amplitude=constant_symbol(1, 1, 1.0))
+    with pytest.raises(NonConvergenceError) as err:
+        op.apply(SchwartzFn.gaussian(1), np.array([[5.0]]))
+    diag = err.value.diagnostic
+    assert set(diag) == {"panels", "change", "tol"}
+    assert diag["tol"] == 1e-8 and diag["change"] >= diag["tol"]
+
+
+def test_half_operator_values_f_once_per_node():
+    f = SchwartzFn.gaussian(1)
+    seen = []
+
+    class _Counting:
+        d = 1
+
+        @staticmethod
+        def value(Y):
+            seen.append(Y.shape[1])
+            assert np.unique(Y).size == Y.shape[1]
+            return f.value(Y)
+
+    phi = parse_symbol_expr("x1*k1 + 0.1*jb(x)*jb(k)", (1, 1), (1, 1))
+    op = HalfOperator(phi=phi, amplitude=gaussian_amplitude(1, 1))
+    pts = np.linspace(-2, 2, 10)[None, :]
+    got = op.apply(_Counting(), pts)
+    assert len(seen) >= 2 and all(n % 15 == 0 for n in seen)
+    assert np.array_equal(got, op.apply(f, pts))
+
+
 def test_fourier_inversion_composition():
     f = SchwartzFn.gaussian(1)
     comp = compose(fourier_half_operator(1, inverse=True), fourier_half_operator(1))
@@ -109,7 +141,7 @@ def test_type_one_maps_into_rapid_decay():
 def test_compose_flag_check():
     # inner operator with no decay flag and non-decaying outer amplitude
     phi_bad = parse_symbol_expr("jb(x)*jb(k)", (1, 1), (1, 1))
-    inner = HalfOperator(phi=phi_bad * 0.0 + phi_bad, amplitude=constant_symbol(1, 1, 1.0), order=(1.0, 1.0))
+    inner = HalfOperator(phi=phi_bad * 0.0 + phi_bad, amplitude=constant_symbol(1, 1, 1.0))
     # force flags to computed values
     outer = HalfOperator(phi=phi_bad, amplitude=constant_symbol(1, 1, 1.0))
     inner.flags = {"y_elliptic": False, "component": False}
