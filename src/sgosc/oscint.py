@@ -10,6 +10,7 @@ asymptotics anywhere: oscillation is handled by subdivision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -247,8 +248,6 @@ class SchwartzFn:
     def rho(self, p: int, box: float = 16.0, protocol: ScanProtocol = DEFAULT_PROTOCOL) -> float:
         """Sampled Schwartz seminorm: sum over |alpha+beta| <= p of the sup of
         |x^alpha d^beta f| on a box plus dyadic rays."""
-        import itertools
-
         radii = [r for r in protocol.base_radii if r <= box] + [
             r for r in protocol.radii if r <= 4 * box
         ]

@@ -312,10 +312,6 @@ class RegularizerQp:
     min_ratio: float
     protocol: ScanProtocol
 
-    def eta_p(self, x, xi, p) -> np.ndarray:
-        g = self.phi.grad_x(x, xi)
-        return np.sum((g - p) ** 2, axis=0)
-
     def residual(self, x, xi, p) -> np.ndarray:
         """|tQ e^{i(phi - x.p)} - psi_y e^{i(phi - x.p)}|."""
         x, xi, p = as_columns(x), as_columns(xi), as_columns(p)
