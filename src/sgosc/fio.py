@@ -105,7 +105,7 @@ class HalfOperator:
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
         """Pointwise values at out_points (d_out, B) by composite quadrature
         over y, with panel doubling until the change is below tol; refused
-        with NonConvergenceError if four rules never agree."""
+        with NonConvergenceError if no two successive rules of four agree."""
         pts = as_points(out_points, self.d_out)
         freq = float(
             np.max(
