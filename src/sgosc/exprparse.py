@@ -4,13 +4,20 @@ Grammar (EBNF):
 
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
-    factor  := unary ("^" signed_number)?
-    unary   := "-" unary | atom
+    factor  := "-" factor | power
+    power   := atom ("^" signed_number)?
     atom    := NUMBER | "pi" | VAR | FUNC "(" args ")" | "(" expr ")"
     args    := arg ("," arg)*
     arg     := expr | "x" | "k"          (bare vectors only inside jb/norm2)
     VAR     := ("x" | "k") DIGITS
     FUNC    := "exp" | "sin" | "cos" | "sqrt" | "jb" | "norm2"
+    signed_number := "-"? NUMBER         (NUMBER: a Python int or float literal)
+
+Precedence is Python's: "-" binds looser than "^", so -a^p is -(a^p).  The
+text, with "^" written "**", is parsed by Python's ast module and never
+evaluated; its expression nodes are translated into the tree below, and
+every construct outside the grammar is refused with SymbolParseError at its
+position in the text.  Redundant parentheses are allowed anywhere.
 
 Scalars are reals; x-variables index the position, k-variables the
 covariable.  Indices are 1-based (x1..xd, k1..ks) unless index 0 appears for
@@ -23,9 +30,11 @@ japanese bracket power or a number, or the caller asserts nonvanishing.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,43 +47,11 @@ class SymbolParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
 _FUNCS = ("exp", "sin", "cos", "sqrt", "jb", "norm2")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> List[Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise SymbolParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num") is not None:
-            out.append(Token("num", m.group(0).strip(), m.start()))
-        elif m.group("name") is not None:
-            out.append(Token("name", m.group("name"), m.start()))
-        else:
-            out.append(Token("op", m.group("op"), m.start()))
-        pos = m.end()
-    out.append(Token("end", "", len(text)))
-    return out
-
-
-# -- AST ---------------------------------------------------------------------
+# -- expression tree -------------------------------------------------------
 
 
 class Node:
@@ -141,17 +118,7 @@ class BinOp(Node):
         return (self.a, self.b)
 
     def jet(self, xj, kj):
-        ja = self.a.jet(xj, kj)
-        jb = self.b.jet(xj, kj)
-        if self.op == "+":
-            return ja + jb
-        if self.op == "-":
-            return ja - jb
-        if self.op == "*":
-            return ja * jb
-        if self.op == "/":
-            return ja / jb
-        raise AssertionError(self.op)
+        return _ARITH[self.op](self.a.jet(xj, kj), self.b.jet(xj, kj))
 
     def to_text(self):
         return f"({self.a.to_text()}{self.op}{self.b.to_text()})"
@@ -197,16 +164,7 @@ class Call(Node):
         if self.fn == "norm2":
             return norm2_jet(self._arg_jets(xj, kj))
         (arg,) = self.args
-        j = arg.jet(xj, kj)
-        if self.fn == "exp":
-            return j.exp()
-        if self.fn == "sin":
-            return j.sin()
-        if self.fn == "cos":
-            return j.cos()
-        if self.fn == "sqrt":
-            return j.sqrt()
-        raise AssertionError(self.fn)
+        return getattr(arg.jet(xj, kj), self.fn)()  # Jet.exp, sin, cos or sqrt
 
     def to_text(self):
         parts = []
@@ -223,101 +181,67 @@ class BareVec:
         return iter(())
 
 
-# -- parser --------------------------------------------------------------------
+# -- translation from Python's expression nodes -------------------------------
+
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.toks = tokens
-        self.i = 0
+class _Translator:
+    """Python expression nodes -> Node; everything outside the grammar is
+    refused at its position in the user's text."""
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
+    def __init__(self, text: str):
+        self.lead = len(text) - len(text.lstrip())
+        self.src = text.strip().replace("^", "**")
 
-    def eat(self, kind=None, text=None) -> Token:
-        t = self.cur
-        if kind is not None and t.kind != kind:
-            raise SymbolParseError(f"expected {kind}, found {t.text!r}", t.pos)
-        if text is not None and t.text != text:
-            raise SymbolParseError(f"expected {text!r}, found {t.text!r}", t.pos)
-        self.i += 1
-        return t
+    def error(self, message: str, col: int) -> SymbolParseError:
+        # every "**" in the parsed source is one "^" of the user's text
+        return SymbolParseError(message, self.lead + col - self.src[:col].count("**"))
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.eat().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.eat().text
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        node = self.unary()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            self.eat()
-            sign = 1.0
-            if self.cur.kind == "op" and self.cur.text == "-":
-                self.eat()
-                sign = -1.0
-            t = self.eat("num")
-            node = Pow(node, sign * float(t.text))
-        return node
-
-    def unary(self) -> Node:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self.eat()
-            return Neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Node:
-        t = self.cur
-        if t.kind == "num":
-            self.eat()
-            return Num(float(t.text))
-        if t.kind == "name":
-            name = t.text
-            if name == "pi":
-                self.eat()
+    def node(self, n: ast.AST) -> Node:
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+            return Pow(self.node(n.left), self.exponent(n.right))
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
+            return BinOp(_BINOPS[type(n.op)], self.node(n.left), self.node(n.right))
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            return Neg(self.node(n.operand))
+        if isinstance(n, ast.Constant) and type(n.value) in (int, float):
+            try:
+                return Num(float(n.value))
+            except OverflowError:
+                raise self.error("number too large", n.col_offset) from None
+        if isinstance(n, ast.Name):
+            if n.id == "pi":
                 return Num(float(np.pi))
-            if name in _FUNCS:
-                self.eat()
-                self.eat("op", "(")
-                args = [self.call_arg(name)]
-                while self.cur.kind == "op" and self.cur.text == ",":
-                    self.eat()
-                    args.append(self.call_arg(name))
-                self.eat("op", ")")
-                if name not in ("jb", "norm2") and (
-                    len(args) != 1 or isinstance(args[0], BareVec)
-                ):
-                    raise SymbolParseError(f"{name} takes one scalar argument", t.pos)
-                return Call(name, tuple(args))
-            m = re.fullmatch(r"([xk])(\d+)", name)
-            if m:
-                self.eat()
-                return Var(m.group(1), int(m.group(2)))
-            raise SymbolParseError(f"unknown name {name!r}", t.pos)
-        if t.kind == "op" and t.text == "(":
-            self.eat()
-            node = self.expr()
-            self.eat("op", ")")
-            return node
-        raise SymbolParseError(f"unexpected token {t.text!r}", t.pos)
+            m = re.fullmatch(r"([xk])([0-9]+)", n.id)
+            if not m:
+                raise self.error(f"unknown name {n.id!r}", n.col_offset)
+            return Var(m.group(1), int(m.group(2)))
+        if isinstance(n, ast.Call):
+            return self.call(n)
+        raise self.error(f"unsupported syntax ({type(n).__name__})", n.col_offset)
 
-    def call_arg(self, fn: str):
-        if fn in ("jb", "norm2") and self.cur.kind == "name" and self.cur.text in ("x", "k"):
-            nxt = self.toks[self.i + 1]
-            if nxt.kind == "op" and nxt.text in (",", ")"):
-                fam = self.eat().text
-                return BareVec(fam)
-        return self.expr()
+    def exponent(self, n: ast.AST) -> float:
+        neg = isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+        if not isinstance(n.operand if neg else n, ast.Constant):
+            raise self.error("exponent must be a number", n.col_offset)
+        p = self.node(n)  # a Num, or the Neg of one
+        return -p.a.value if neg else p.value
+
+    def call(self, n: ast.Call) -> Call:
+        fn = n.func.id if isinstance(n.func, ast.Name) else None
+        if fn not in _FUNCS:
+            raise self.error("unknown function", n.col_offset)
+        if n.keywords or not n.args:
+            raise self.error(f"{fn} takes positional arguments only, at least one", n.col_offset)
+        vec = fn in ("jb", "norm2")
+        args = tuple(
+            BareVec(a.id) if vec and isinstance(a, ast.Name) and a.id in ("x", "k") else self.node(a)
+            for a in n.args
+        )
+        if not vec and len(args) != 1:
+            raise self.error(f"{fn} takes one scalar argument", n.col_offset)
+        return Call(fn, args)
 
 
 def _resolve_indices(root: Node, d: int, s: int):
@@ -359,11 +283,17 @@ def _check_divisions(root: Node, allow: bool):
 
 
 def parse_expression(text: str, d: int, s: int, allow_division: bool = False) -> Node:
-    toks = _tokenize(text)
-    p = _Parser(toks)
-    root = p.expr()
-    if p.cur.kind != "end":
-        raise SymbolParseError(f"trailing input {p.cur.text!r}", p.cur.pos)
+    text = re.sub(r"\s", " ", text)  # one blank per whitespace character keeps positions
+    bad = re.search(r"[^0-9A-Za-z_ .+\-*/^(),]|\*\*", text)
+    if bad:
+        raise SymbolParseError(f"unexpected {bad.group()!r}", bad.start())
+    tr = _Translator(text)
+    try:
+        root = tr.node(ast.parse(tr.src, mode="eval").body)
+    except SyntaxError as err:
+        raise tr.error(f"syntax error: {err.msg}", (err.offset or 1) - 1) from None
+    except RecursionError:
+        raise SymbolParseError("expression nested too deeply", 0) from None
     _resolve_indices(root, d, s)
     _check_divisions(root, allow_division)
     return root

@@ -88,3 +88,103 @@ def test_jet_evaluation_through_parser():
     sym = parse_symbol_expr("jb(x)*jb(k)", (1, 1), (1, 1))
     j = sym.jet(np.array([[1.0]]), np.array([[1.0]]), 2)
     assert abs(j.partial((1, 1))[0] - 0.5) < 1e-13
+
+
+# (text, d, s, to_text) for every expression in the tests, the README and the
+# benchmark workloads, plus number and spacing forms
+_PINNED_TEXT = [
+    ("jb(x)*jb(k)", 1, 1, "(jb(x)*jb(k))"),
+    ("exp(-norm2(x)-norm2(k))", 1, 1, "exp(((-norm2(x))-norm2(k)))"),
+    ("x1*k1 - x0*sqrt(1+norm2(k))", 2, 1, "((x2*k1)-(x1*sqrt((1.0+norm2(k)))))"),
+    ("x1+x2", 2, 1, "(x1+x2)"),
+    ("x0+2*x1", 2, 1, "(x1+(2.0*x2))"),
+    ("sin(x1)*cos(k1)+jb(x,k)^-2.0", 1, 1, "((sin(x1)*cos(k1))+(jb(x,k)^-2.0))"),
+    ("(x1+k1)^3", 1, 1, "((x1+k1)^3.0)"),
+    ("x1/jb(k)^2.0", 1, 1, "(x1/(jb(k)^2.0))"),
+    ("1/jb(x)", 1, 1, "(1.0/jb(x))"),
+    ("x1^3*k1", 1, 1, "((x1^3.0)*k1)"),
+    ("x1*k1 + 0.1*jb(x)*jb(k)", 1, 1, "((x1*k1)+((0.1*jb(x))*jb(k)))"),
+    ("x1", 1, 1, "x1"),
+    ("x1*k1 + jb(x)", 1, 1, "((x1*k1)+jb(x))"),
+    ("(x1-x2)*k1", 2, 1, "((x1-x2)*k1)"),
+    ("jb(k)^1.5", 1, 1, "(jb(k)^1.5)"),
+    ("jb(x)^-3*jb(k)^-3", 1, 1, "((jb(x)^-3.0)*(jb(k)^-3.0))"),
+    (".5*x1 + 2.*k1 - 3e-2*x1*k1", 1, 1, "(((0.5*x1)+(2.0*k1))-((0.03*x1)*k1))"),
+    ("pi*x1 - 1E3*k1^2", 1, 1, "((3.141592653589793*x1)-(1000.0*(k1^2.0)))"),
+    ("-x1*k1 + 2^-1*jb(x, k1)", 1, 1, "(((-x1)*k1)+((2.0^-1.0)*jb(x,k1)))"),
+    ("x1*-k1 - (-x1)^2", 1, 1, "((x1*(-k1))-((-x1)^2.0))"),
+    ("norm2(x, k) / 4", 1, 1, "(norm2(x,k)/4.0)"),
+    ("  sqrt( jb(x)*jb(k) )  ", 1, 1, "sqrt((jb(x)*jb(k)))"),
+]
+
+
+@pytest.mark.parametrize("text, d, s, want", _PINNED_TEXT)
+def test_to_text_pinned(text, d, s, want):
+    assert parse_expression(text, d, s).to_text() == want
+
+
+def test_unary_minus_binds_looser_than_power():
+    X, K = np.array([[2.0]]), np.array([[0.0]])
+    assert abs(_vals("exp(-x1^2)", 1, 1, X, K)[0] - np.exp(-4.0)) < 1e-15
+    assert _vals("-x1^2", 1, 1, X, K)[0] == -4.0
+    assert _vals("2*-x1^2", 1, 1, X, K)[0] == -8.0
+    assert parse_expression("-x1^2", 1, 1).to_text() == "(-(x1^2.0))"
+    assert parse_expression("2*-x1^2", 1, 1).to_text() == "(2.0*(-(x1^2.0)))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1**2",
+        "1j*x1",
+        "x1 if k1 else 2",
+        "foo(x1)",
+        pytest.param("x1*1" + "0" * 400, id="int-beyond-float"),
+        "x1 < k1",
+        "x1 // 2",
+        "not x1",
+        "x1 and k1",
+        "x1.real",
+        "x1[0]",
+        "(x1, k1)",
+        "jb(x=1)",
+        "jb(*x)",
+        "jb()",
+        "'x1'",
+        "True*x1",
+        "None",
+        "x1^k1",
+        "x1^2^3",
+        "x1^+2",
+        "x1 # comment",
+        "x1 +",
+        "x1 k1",
+        "exp",
+        pytest.param("-" * 3000 + "x1", id="deep-nesting"),
+    ],
+)
+def test_refused_outside_grammar(text):
+    with pytest.raises(SymbolParseError) as ei:
+        parse_expression(text, 1, 1)
+    assert 0 <= ei.value.pos <= len(text)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [("jb(x) + ?", 8), ("x1 ^ k1", 5), ("x1^2 + foo(k1)", 7), ("  x1 ^ 2 ^ 2", 7), ("x1**2", 2)],
+)
+def test_refusal_position_is_in_the_users_text(text, pos):
+    with pytest.raises(SymbolParseError) as ei:
+        parse_expression(text, 1, 1)
+    assert ei.value.pos == pos
+
+
+def test_division_value_and_first_partials():
+    sym = parse_symbol_expr("x1/jb(k)^2.0", (1, 1), (0, 0))
+    x = np.array([[-1.5, 0.0, 0.7, 2.0]])
+    k = np.array([[0.3, -2.0, 1.1, 0.0]])
+    j = sym.jet(x, k, 1)
+    den = 1.0 + k[0] ** 2
+    assert np.allclose(j.value, x[0] / den, rtol=1e-14, atol=0)
+    assert np.allclose(j.partial((1, 0)), 1.0 / den, rtol=1e-14, atol=0)
+    assert np.allclose(j.partial((0, 1)), -2.0 * x[0] * k[0] / den**2, rtol=1e-14, atol=1e-16)
