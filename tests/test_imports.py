@@ -1,7 +1,8 @@
 """No module of the package imports a name at module level that it never
-uses, imports a sibling module inside a function, or leaves a private
-module-level function, class or constant unreferenced in the package (there
-is no linter in the toolchain, so these tests are the check)."""
+uses, imports a sibling module inside a function, leaves a private
+module-level function, class or constant unreferenced in the package, or
+calls the builtins eval, exec or compile (there is no linter in the
+toolchain, so these tests are the check)."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,16 @@ def test_no_function_local_package_imports():
     them needs breaking by a function-local import."""
     local = [i for p in sorted(SRC.glob("*.py")) for i in _local_package_imports(p)]
     assert not local, "function-local package imports:\n" + "\n".join(local)
+
+
+def test_no_eval_exec_or_compile():
+    """Expression strings arrive in JSON configs, so they are only parsed
+    (sgosc.exprparse), never run."""
+    calls = [
+        f"{p.name}:{n.lineno}: {n.func.id}"
+        for p in sorted(SRC.glob("*.py"))
+        for n in ast.walk(ast.parse(p.read_text()))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id in ("eval", "exec", "compile")
+    ]
+    assert not calls, "calls of eval, exec or compile:\n" + "\n".join(calls)
