@@ -209,14 +209,6 @@ class MphiSample:
     min_ratio: float
     protocol: dict
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.point[0].to_json(),
-            "xi": self.point[1].to_json(),
-            "label": self.classification,
-            "min_ratio": float(self.min_ratio),
-        }
-
 
 def mphi_classify(
     phi: PhaseFn,
@@ -293,15 +285,6 @@ class SPphiSample:
     min_ratio: float
     fiber_count: int
     protocol: dict
-
-    def to_json(self) -> dict:
-        return {
-            "y": self.point[0].to_json(),
-            "q": self.point[1].to_json(),
-            "label": self.classification,
-            "min_ratio": float(self.min_ratio),
-            "fiber_count": self.fiber_count,
-        }
 
 
 def _dist_to_cone(v: np.ndarray, qdir: np.ndarray, delta: float, rho_lo: float):
@@ -469,14 +452,6 @@ class AngleTestResult:
     vacuous: bool
     min_angle: float
     fibers_checked: int
-
-    def to_json(self) -> dict:
-        return {
-            "nonstationary": bool(self.nonstationary),
-            "vacuous": bool(self.vacuous),
-            "min_angle": float(self.min_angle),
-            "fibers_checked": self.fibers_checked,
-        }
 
 
 def sp_angle_test(

@@ -477,15 +477,6 @@ class SeminormReport:
     grid: dict
     flagged: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "order": list(self.order),
-            "max": self.max_value,
-            "entries": {f"{a}|{b}": v for (a, b), v in self.entries.items()},
-            "grid": self.grid,
-            "flagged": [f"{a}|{b}" for a, b in self.flagged],
-        }
-
 
 def _sample_pairs(d, s, protocol, radii_x, radii_k):
     dirs_x = protocol.dirs(d)
@@ -551,15 +542,6 @@ class OrderReport:
             for ab, (b, w) in self.entries.items()
             if w > (1.0 + self.tol) * max(b, 1e-300)
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "order": list(self.order),
-            "tol": self.tol,
-            "entries": {f"{a}|{b}": [bb, ww] for (a, b), (bb, ww) in self.entries.items()},
-            "failing": [f"{a}|{b}" for a, b in self.failing()],
-        }
 
 
 def verify_order(

@@ -13,6 +13,7 @@ the existential cutoff quantifier in the definitions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -142,12 +143,11 @@ class WfProtocol:
         **kw,
     ) -> "WfProtocol":
         dirs = tuple(tuple(v) for v in sphere_grid(dim, n_dirs))
+        lattice = tuple(itertools.product([-2.0, -1.0, 0.0, 1.0, 2.0], repeat=dim))
         if classical_centers is None:
-            pts = [-2.0, -1.0, 0.0, 1.0, 2.0]
-            classical_centers = _lattice(pts, dim)
+            classical_centers = lattice
         if finite_q is None:
-            pts = [-2.0, -1.0, 0.0, 1.0, 2.0]
-            finite_q = _lattice(pts, dim)
+            finite_q = lattice
         return cls(
             dim=dim,
             box=float(box),
@@ -199,16 +199,6 @@ class WfProtocol:
         for k in ("x_dirs", "q_dirs", "classical_centers", "finite_q", "r_subsets"):
             d[k] = [list(v) if isinstance(v, tuple) else v for v in d[k]]
         return d
-
-
-def _lattice(pts, dim):
-    if dim == 1:
-        return tuple((p,) for p in pts)
-    out = []
-    for a in pts:
-        for b in pts:
-            out.append((a, b))
-    return tuple(out)
 
 
 # -- decay exponent fitting -------------------------------------------------------

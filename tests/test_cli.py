@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sgosc
-from sgosc.cli import main, run
+from sgosc.cli import _wf_protocol_from, main, run
 
 
 def test_check_phase_config(tmp_path, capsys):
@@ -195,6 +195,17 @@ def test_wf_scan_default_protocol_finds_gtrain_corner(tmp_path):
     assert singular == [["boundary", "1", "boundary", "1", "singular"]]
     protocol = json.loads((tmp_path / "wf.json").read_text())["protocol"]
     assert (protocol["box"], protocol["ngrid"], len(protocol["x_dirs"])) == (64.0, 2048, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wf_protocol_default_lattices(dim):
+    """The default classical centres and finite covariables are the
+    {-2, ..., 2}^dim lattice in row-major order (2-D: box 16, ngrid 256)."""
+    protocol = _wf_protocol_from({}, dim)
+    pts = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    lattice = tuple((a,) for a in pts) if dim == 1 else tuple((a, b) for a in pts for b in pts)
+    assert protocol.classical_centers == lattice and protocol.finite_q == lattice
+    assert (protocol.dim, protocol.box, protocol.ngrid) == ((1, 64.0, 2048) if dim == 1 else (2, 16.0, 256))
 
 
 @pytest.mark.parametrize(
