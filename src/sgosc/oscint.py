@@ -368,29 +368,26 @@ def _tail_exponents(I: OscIntegral):
     return ex, ek
 
 
-def _shell_samples(L: float, k: int, count: int = 64) -> np.ndarray:
-    """Points on the boundary shell |x|_inf = L of a k-dim box."""
+def _box_grid(L: float, k: int, count: int = 64) -> np.ndarray:
+    """About `count` points of a uniform grid on the k-dim box [-L, L]^k."""
     rng = np.linspace(-L, L, max(3, int(round(count ** (1.0 / max(k, 1))))))
-    grids = np.meshgrid(*([rng] * k), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids])
-    mask = np.max(np.abs(pts), axis=0) >= L - 1e-12
-    face = pts[:, mask]
-    if face.shape[1] == 0:
-        face = np.full((k, 1), L)
-    return face
+    return np.stack([g.ravel() for g in np.meshgrid(*([rng] * k), indexing="ij")])
 
 
 def _tail_bound(I: OscIntegral, integrand, Lx: float, Lk: float) -> float:
-    """Sampled-envelope truncation bound: C_env times the analytic tail mass
-    of <x>^ex <xi>^ek outside the box."""
+    """Sampled-envelope truncation bound: C_env, the largest |integrand| over
+    <x>^ex <xi>^ek on the boundary of the box, times the analytic tail mass
+    of that envelope outside the box."""
     d, s = I.phi.d, I.phi.s
     ex, ek = _tail_exponents(I)
-    shell_x = _shell_samples(Lx, d)
-    shell_k = _shell_samples(Lk, s)
-    X = np.repeat(shell_x, shell_k.shape[1], axis=1)
-    K = np.tile(shell_k, shell_x.shape[1])
+    grid_x, grid_k = _box_grid(Lx, d), _box_grid(Lk, s)
+    X = np.repeat(grid_x, grid_k.shape[1], axis=1)
+    K = np.tile(grid_k, grid_x.shape[1])
+    # the boundary of the product box: x on the shell |x|_inf = Lx, or xi on its own
+    face = (np.max(np.abs(X), axis=0) >= Lx - 1e-12) | (np.max(np.abs(K), axis=0) >= Lk - 1e-12)
+    X, K = X[:, face], K[:, face]
     env = japanese_bracket(X) ** ex * japanese_bracket(K) ** ek
-    c_env = float(np.max(np.abs(integrand(np.concatenate([X, K]))) / env)) if X.size else 0.0
+    c_env = float(np.max(np.abs(integrand(np.concatenate([X, K]))) / env))
 
     def ball_mass(e, k, L):
         # integral over R^k of <t>^e, and over |t| > L; e < -k

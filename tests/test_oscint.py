@@ -57,6 +57,17 @@ def test_linearity(bracket_phase, gauss_pair):
     assert abs(vs - (v1 + v2)) < 1e-9 * (1 + abs(vs))
 
 
+def test_tail_bound_covers_the_faces_of_a_grown_box(bracket_phase, gauss_pair):
+    # from box (1, 1) the certificate grows the box; at x = 0, |xi| = 4 the
+    # integrand is about e^-16, which only samples on the faces see
+    a, f = gauss_pair
+    I = make_osc_integral(bracket_phase, a, r=1, box=(1.0, 1.0), tol=1e-8)
+    res = eval_pairing(I, f)
+    oracle = direct_quadrature(bracket_phase, a, f, box=(9, 9), tol=1e-10)
+    assert res.box[0] > 1.0 and res.box[1] > 1.0
+    assert abs(res.value - oracle.value) <= res.error + res.tail_bound + oracle.error
+
+
 def test_pairing_matches_direct_oracle(bracket_phase, gauss_pair):
     a, f = gauss_pair
     oracle = direct_quadrature(bracket_phase, a, f, box=(9, 9), tol=1e-10)
