@@ -105,17 +105,15 @@ class HalfOperator:
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
         """Pointwise values at out_points (d_out, B) by composite quadrature
         over y, with panel doubling until the change is below tol; refused
-        with NonConvergenceError if no two successive rules of four agree."""
+        with NonConvergenceError if no two successive rules of four agree.
+        The first rule is sized from the largest |grad_y phi| over the nodes
+        of an 8-panel rule where |f| exceeds tol times its largest value."""
         pts = as_points(out_points, self.d_out)
-        freq = float(
-            np.max(
-                np.abs(
-                    self.phi.grad_x(
-                        np.zeros((self.d_in, pts.shape[1])), pts
-                    ).real
-                )
-            )
-        )
+        nodes, _ = _panel_rule(-self.ybox, self.ybox, 8)
+        fv = np.abs(f.value(nodes[None, :]))
+        live = nodes[fv >= tol * np.max(fv)]
+        Y = np.tile(live, pts.shape[1])[None, :]
+        freq = float(np.max(np.abs(self.phi.grad_x(Y, np.repeat(pts, len(live), axis=1)))))
         n_panels = max(8, int(self.ybox * max(freq, 1.0) / 6.0))
         prev = self._apply_panels(f, pts, n_panels)
         for _ in range(3):

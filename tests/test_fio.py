@@ -71,10 +71,19 @@ def test_apply_half_matches_direct_quadrature():
         assert abs(g - val) < 1e-6 * (1 + abs(val))
 
 
-def test_half_operator_refuses_unconverged():
-    # e^{5 i y^3} against a gaussian: four panel doublings never agree to tol
+def test_half_operator_sizes_first_rule_over_f_support():
+    # grad_y of y^3 xi is 0 at y = 0 but 15 y^2 where the gaussian lives
     phi = parse_symbol_expr("x1^3*k1", (1, 1), (3, 1))
     op = HalfOperator(phi=phi, amplitude=constant_symbol(1, 1, 1.0))
+    f, pts = SchwartzFn.gaussian(1), np.array([[5.0]])
+    assert abs(op.apply(f, pts)[0] - op._apply_panels(f, pts, 256)[0]) < 1e-8
+
+
+def test_half_operator_refuses_unconverged():
+    # the amplitude cos(5 y^3) oscillates where the phase y.xi does not, so the
+    # first rule has 8 panels, and four panel doublings never agree to tol
+    phi = parse_symbol_expr("x1*k1", (1, 1), (1, 1))
+    op = HalfOperator(phi=phi, amplitude=parse_symbol_expr("cos(x1^3*k1)", (1, 1), (3, 1)))
     with pytest.raises(NonConvergenceError) as err:
         op.apply(SchwartzFn.gaussian(1), np.array([[5.0]]))
     diag = err.value.diagnostic
