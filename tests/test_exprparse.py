@@ -188,3 +188,6 @@ def test_division_value_and_first_partials():
     assert np.allclose(j.value, x[0] / den, rtol=1e-14, atol=0)
     assert np.allclose(j.partial((1, 0)), 1.0 / den, rtol=1e-14, atol=0)
     assert np.allclose(j.partial((0, 1)), -2.0 * x[0] * k[0] / den**2, rtol=1e-14, atol=1e-16)
+    inv = 1.0 / parse_symbol_expr("jb(k)^2.0", (1, 1), (0, 0)).jet(x, k, 1)  # Jet.__rtruediv__
+    assert np.allclose(inv.value, 1.0 / den, rtol=1e-14, atol=0)
+    assert np.allclose(inv.partial((0, 1)), -2.0 * k[0] / den**2, rtol=1e-14, atol=1e-16)
