@@ -111,7 +111,7 @@ class HalfOperator:
         pts = as_points(out_points, self.d_out)
         nodes, _ = _panel_rule(-self.ybox, self.ybox, 8)
         fv = np.abs(f.value(nodes[None, :]))
-        live = nodes[fv >= tol * np.max(fv)]
+        live = nodes[~(fv < tol * np.max(fv))]  # all of them if f has a NaN
         Y = np.tile(live, pts.shape[1])[None, :]
         freq = float(np.max(np.abs(self.phi.grad_x(Y, np.repeat(pts, len(live), axis=1)))))
         n_panels = max(8, int(self.ybox * max(freq, 1.0) / 6.0))

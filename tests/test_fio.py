@@ -91,6 +91,20 @@ def test_half_operator_refuses_unconverged():
     assert diag["tol"] == 1e-8 and diag["change"] >= diag["tol"]
 
 
+def test_half_operator_refuses_nan_f():
+    g = SchwartzFn.gaussian(1)
+
+    class _Nan:
+        d = 1
+
+        @staticmethod
+        def value(Y):
+            return np.where(Y[0] == Y[0, 3], np.nan, g.value(Y))
+
+    with pytest.raises(NonConvergenceError):
+        fourier_half_operator(1).apply(_Nan(), np.array([[0.5]]))
+
+
 def test_half_operator_values_f_once_per_node():
     f = SchwartzFn.gaussian(1)
     seen = []
