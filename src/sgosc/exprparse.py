@@ -232,8 +232,8 @@ class _Translator:
         fn = n.func.id if isinstance(n.func, ast.Name) else None
         if fn not in _FUNCS:
             raise self.error("unknown function", n.col_offset)
-        if n.keywords or not n.args:
-            raise self.error(f"{fn} takes positional arguments only, at least one", n.col_offset)
+        if not n.args:  # keyword arguments cannot get here: "=" is refused
+            raise self.error(f"{fn} needs an argument", n.col_offset)
         vec = fn in ("jb", "norm2")
         args = tuple(
             BareVec(a.id) if vec and isinstance(a, ast.Name) and a.id in ("x", "k") else self.node(a)
