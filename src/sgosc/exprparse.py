@@ -82,6 +82,7 @@ class Num(Node):
 class Var(Node):
     family: str  # "x" | "k"
     index: int  # resolved 0-based
+    pos: int  # its column in the user's text
 
     def jet(self, xj, kj):
         seq = xj if self.family == "x" else kj
@@ -112,6 +113,7 @@ class BinOp(Node):
     op: str
     a: Node
     b: Node
+    pos: int  # the operator's column in the user's text
 
     @property
     def children(self):
@@ -194,15 +196,22 @@ class _Translator:
         self.lead = len(text) - len(text.lstrip())
         self.src = text.strip().replace("^", "**")
 
+    def pos(self, col: int) -> int:
+        """The column in the user's text of column col of the parsed source:
+        every "**" there is one "^" of the user's text."""
+        return self.lead + col - self.src[:col].count("**")
+
     def error(self, message: str, col: int) -> SymbolParseError:
-        # every "**" in the parsed source is one "^" of the user's text
-        return SymbolParseError(message, self.lead + col - self.src[:col].count("**"))
+        return SymbolParseError(message, self.pos(col))
 
     def node(self, n: ast.AST) -> Node:
         if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
             return Pow(self.node(n.left), self.exponent(n.right))
         if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
-            return BinOp(_BINOPS[type(n.op)], self.node(n.left), self.node(n.right))
+            op = _BINOPS[type(n.op)]
+            # only ")" and blanks stand between the left operand and op
+            col = self.src.index(op, n.left.end_col_offset)
+            return BinOp(op, self.node(n.left), self.node(n.right), self.pos(col))
         if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
             return Neg(self.node(n.operand))
         if isinstance(n, ast.Constant) and type(n.value) in (int, float):
@@ -216,7 +225,7 @@ class _Translator:
             m = re.fullmatch(r"([xk])([0-9]+)", n.id)
             if not m:
                 raise self.error(f"unknown name {n.id!r}", n.col_offset)
-            return Var(m.group(1), int(m.group(2)))
+            return Var(m.group(1), int(m.group(2)), self.pos(n.col_offset))
         if isinstance(n, ast.Call):
             return self.call(n)
         raise self.error(f"unsupported syntax ({type(n).__name__})", n.col_offset)
@@ -254,7 +263,7 @@ def _resolve_indices(root: Node, d: int, s: int):
             idx = v.index if zero_based else v.index - 1
             if idx < 0 or idx >= dim:
                 raise SymbolParseError(
-                    f"variable {fam}{v.index} out of range for dimension {dim}", 0
+                    f"variable {fam}{v.index} out of range for dimension {dim}", v.pos
                 )
             v.index = idx
 
@@ -278,7 +287,7 @@ def _check_divisions(root: Node, allow: bool):
                 raise SymbolParseError(
                     "division denominator must be a japanese-bracket power "
                     "(pass allow_division=True to assert it never vanishes)",
-                    0,
+                    n.pos,
                 )
 
 

@@ -303,14 +303,19 @@ class Jet:
         """f(u) for the pair f' = g, g' = -f with values f0 and g0 at u's
         value: sin is (sin, cos), cos is (cos, -sin).  The partner g's rows
         are filled alongside f's: f_k = sum deg_ia u[ia] g[ib] / deg_k and
-        g_k = -sum deg_ia u[ia] f[ib] / deg_k."""
+        g_k = -sum deg_ia u[ia] f[ib] / deg_k.  Row k of f reads g's rows of
+        lower degree only, so g stops one degree below the order, and at
+        order <= 1, where the chain rule gives every row, g is not built."""
         sp, u, deg = self.space, self.c, self.space.degree
+        if sp.order <= 1:
+            return self.compose(f0, g0, None)
         g = np.zeros(u.shape, np.result_type(u, g0))
         g[0] = g0
         g[1 : sp.nvars + 1] = -f0 * u[1 : sp.nvars + 1]
 
         def row(v, k, ia, ib):
-            g[k] = -_pair_sum(deg[ia], u[ia], v[ib]) / deg[k]
+            if deg[k] < sp.order:
+                g[k] = -_pair_sum(deg[ia], u[ia], v[ib]) / deg[k]
             return _pair_sum(deg[ia], u[ia], g[ib]) / deg[k]
 
         return self.compose(f0, g0, row)

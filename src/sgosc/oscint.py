@@ -142,12 +142,23 @@ def _cell_json(los, his, vals, errs, i) -> dict:
     }
 
 
-def _worst(errs, k):
-    """Indices of the k largest errors, worst first, older cell first on ties."""
-    cand = np.arange(len(errs))
-    if len(errs) > k:
-        cand = np.flatnonzero(errs >= np.partition(errs, len(errs) - k)[len(errs) - k])
-    return cand[np.argsort(-errs[cand], kind="stable")[:k]]
+def _worst(keys, k):
+    """Indices of the k largest keys, worst first, older slot first on ties."""
+    cand = np.arange(len(keys))
+    if len(keys) > k:
+        cand = np.flatnonzero(keys >= np.partition(keys, len(keys) - k)[len(keys) - k])
+    return cand[np.argsort(-keys[cand], kind="stable")[:k]]
+
+
+def _room(a, n, dtype=None):
+    """a if it has n rows and holds dtype, else a copy of it in the promoted
+    dtype with room for n rows (at least twice its length)."""
+    dtype = a.dtype if dtype is None else np.promote_types(a.dtype, dtype)
+    if len(a) >= n and dtype == a.dtype:
+        return a
+    out = np.empty((max(n, 2 * len(a)),) + a.shape[1:], dtype)
+    out[: len(a)] = a
+    return out
 
 
 def adaptive_tensor(
@@ -161,9 +172,19 @@ def adaptive_tensor(
 ):
     """Adaptive tensor Gauss-Kronrod over a box; f maps (nd, B) -> (B,).
 
-    Returns (value, error_estimate, n_evaluations).  Deterministic: the cells
-    are kept in creation order, totals are summed in that order, and each
-    round splits the REFINE_BATCH worst cells, older first on ties."""
+    Returns (value, error_estimate, n_evaluations).  Deterministic: each
+    round splits the REFINE_BATCH worst cells, older first on ties, and the
+    totals are summed left to right over the cells in creation order.
+
+    The cells sit in slots in creation order, in arrays that grow by
+    doubling.  A split cell keeps its slot with value and error 0.0 and
+    selection key -inf; its children are appended.  So no round copies the
+    live cells, and the results equal those of a store that deletes split
+    cells: the live cells keep their order, a left-to-right sum over the
+    slots equals the sum over the live cells bit for bit (x + 0.0 == x, and
+    the trailing + 0.0 turns a -0.0 total into +0.0), and the worst cells
+    are chosen on the keys, where ties still go to the older slot and a
+    retired slot ranks below every live cell, even one with error 0.0."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     nd = len(lo)
@@ -177,30 +198,40 @@ def adaptive_tensor(
     los = np.stack([edges[i][idx[i]] for i in range(nd)], axis=1)
     his = np.stack([edges[i][idx[i] + 1] for i in range(nd)], axis=1)
     vals, errs = _eval_cells(f, los, his)
+    keys = errs.copy()
     npts = _RULES[nd][0].shape[1]
-    nev = len(los) * npts
+    n = live = len(los)  # slots in use, live cells among them
+    nev = n * npts
+    rounds = 0
+    # running left-to-right sums over the slots; a round re-sums only from
+    # its oldest split cell on
+    vacc, eacc = np.add.accumulate(vals), np.add.accumulate(errs)
     while True:
         # left to right from 0 as builtin sum does, so -0.0 totals read +0.0
-        total = np.add.accumulate(vals)[-1] + 0.0
-        toterr = np.add.accumulate(errs)[-1] + 0.0
+        total = vacc[n - 1] + 0.0
+        toterr = eacc[n - 1] + 0.0
         if toterr <= max(tol_abs, tol_rel * abs(total)):
             return total, toterr, nev
-        if len(los) >= max_cells:
+        if live >= max_cells:
             raise NonConvergenceError(
                 "quadrature subdivision budget exhausted",
                 {
-                    "cells": len(los),
+                    "cells": live,
+                    "rounds": rounds,
+                    "nodes": nev,
                     "error": float(toterr),
                     "value_re": float(total.real),
                     "value_im": float(total.imag),
                     "tol_abs": tol_abs,
                     "tol_rel": tol_rel,
-                    "worst_cells": [_cell_json(los, his, vals, errs, i) for i in _worst(errs, 5)],
+                    "worst_cells": [
+                        _cell_json(los, his, vals, errs, i) for i in _worst(keys[:n], min(5, live))
+                    ],
                 },
             )
         # split the worst cells on their longest axis: children in pick
         # order, the lower half before the upper half
-        picked = _worst(errs, REFINE_BATCH)
+        picked = _worst(keys[:n], min(REFINE_BATCH, live))
         clos, chis = np.repeat(los[picked], 2, axis=0), np.repeat(his[picked], 2, axis=0)
         r = np.arange(len(clos))
         ax = np.argmax(chis - clos, axis=1)
@@ -209,10 +240,20 @@ def adaptive_tensor(
         clos[r[1::2], ax[1::2]] = mid[1::2]
         cvals, cerrs = _eval_cells(f, clos, chis)
         nev += len(clos) * npts
-        los = np.concatenate([np.delete(los, picked, axis=0), clos])
-        his = np.concatenate([np.delete(his, picked, axis=0), chis])
-        vals = np.concatenate([np.delete(vals, picked), cvals])
-        errs = np.concatenate([np.delete(errs, picked), cerrs])
+        rounds += 1
+        vals[picked] = errs[picked] = 0.0
+        keys[picked] = -INF
+        m = n + len(clos)
+        los, his, errs, keys, eacc = (_room(a, m) for a in (los, his, errs, keys, eacc))
+        vals, vacc = (_room(a, m, cvals.dtype) for a in (vals, vacc))
+        los[n:m], his[n:m], vals[n:m], errs[n:m], keys[n:m] = clos, chis, cvals, cerrs, cerrs
+        j = int(picked.min())  # the running sums still hold up to slot j - 1
+        start = max(j - 1, 0)
+        for acc, x in ((vacc, vals), (eacc, errs)):
+            acc[j:m] = x[j:m]
+            np.add.accumulate(acc[start:m], out=acc[start:m])
+        n = m
+        live += len(picked)
 
 
 # -- Schwartz test functions ------------------------------------------------------

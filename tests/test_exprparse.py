@@ -179,6 +179,25 @@ def test_refusal_position_is_in_the_users_text(text, pos):
     assert ei.value.pos == pos
 
 
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("x1 + x3", 5),
+        ("x1 + 1/(1+x1)", 6),
+        ("   x1^2 + k2", 10),
+        ("  x1^2 + (x1)/ (x1^2)", 13),
+        ("x0 + x2^2", 5),
+    ],
+)
+def test_index_and_division_refusals_point_at_the_culprit(text, pos):
+    # an out-of-range variable is reported at its first character and a
+    # refused division at its "/", counted in the user's text
+    with pytest.raises(SymbolParseError) as ei:
+        parse_expression(text, 1, 1)
+    assert ei.value.pos == pos
+    assert str(ei.value).endswith(f"(at position {pos})")
+
+
 def test_division_value_and_first_partials():
     sym = parse_symbol_expr("x1/jb(k)^2.0", (1, 1), (0, 0))
     x = np.array([[-1.5, 0.0, 0.7, 2.0]])

@@ -171,14 +171,22 @@ def test_continuity_estimate_single_constant(bracket_phase):
 
 
 def test_nonconvergence_diagnostic():
-    def nasty(X):
-        return np.cos(200.0 * X[0] ** 2)
-
     def worst_cells():
+        calls = []
+
+        def nasty(X):
+            calls.append(X.shape[1])
+            return np.cos(200.0 * X[0] ** 2)
+
         with pytest.raises(NonConvergenceError) as ei:
             adaptive_tensor(nasty, [-6], [6], tol_abs=1e-14, tol_rel=1e-14, max_cells=40)
         diag = ei.value.diagnostic
         assert diag["cells"] == 40
+        # one call for the 2 initial cells, then one per round of at most 8
+        # splits: 2, 4, 8, 16, 24, 32, 40 cells, so the work is a count
+        # fixed by the budget
+        assert len(calls) == diag["rounds"] + 1 == 7
+        assert sum(calls) == diag["nodes"] == (2 + 2 * (40 - 2)) * 15
         return diag, diag["worst_cells"]
 
     diag, worst = worst_cells()
@@ -240,6 +248,23 @@ def test_adaptive_tensor_pinned():
     assert pinned(lambda X: np.exp(1j * X[0] * X[1]), [-3, -2], [3, 2], 1e-10, [5, 4]) == (
         "0x1.6cb852c7c49fcp+2", "-0x1.8000000000000p-51", "0x1.5d1c2fdee8ea7p-41", 4500
     )
+
+    # compact support in x: 12 of the 16 initial cells have an exact-zero
+    # error, so the first round splits the 4 positive ones and then the 4
+    # oldest zero-error cells
+    def compact(X):
+        x, y = X
+        return np.where(np.abs(x) < 1, (1 - x * x) ** 3, 0.0) * np.exp(-y * y)
+
+    assert pinned(compact, [-4, -4], [4, 4], 1e-10, [8, 2]) == (
+        "0x1.9edb0097b8074p+0", "0x0.0p+0", "0x1.b571915000000p-40", 10800
+    )
+    # a zero integrand, of either sign, totals +0.0
+    assert pinned(lambda X: np.zeros(X.shape[1]), [-1, -1], [1, 1], 1e-12) == (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 900
+    )
+    assert pinned(lambda X: -0.0 * X[0], [-1], [1], 1e-12) == ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 30)
+
     with pytest.raises(NonConvergenceError) as ei:
         adaptive_tensor(
             lambda X: np.cos(200.0 * X[0] ** 2), [-6], [6], tol_abs=1e-14, tol_rel=1e-14, max_cells=40
@@ -247,6 +272,22 @@ def test_adaptive_tensor_pinned():
     diag = ei.value.diagnostic
     assert diag["value_re"].hex() == "0x1.6c0d57aaa6e43p-4"
     assert diag["error"].hex() == "0x1.505cf8c111c8fp-1"
+    worst = [
+        (c["lo"][0].hex(), c["hi"][0].hex(), c["value_re"].hex(), c["value_im"].hex(), c["error"].hex())
+        for c in diag["worst_cells"]
+    ]
+    assert worst == [
+        ("-0x1.8000000000000p+2", "-0x1.7a00000000000p+2", "-0x1.6f1480a0b96d8p-9", "0x0.0p+0",
+         "0x1.511223997d27ep-5"),
+        ("0x1.7a00000000000p+2", "0x1.8000000000000p+2", "-0x1.6f1480a0b96d2p-9", "0x0.0p+0",
+         "0x1.511223997d27dp-5"),
+        ("-0x1.3800000000000p+2", "-0x1.2c00000000000p+2", "-0x1.44794cc11e386p-7", "0x0.0p+0",
+         "0x1.2020fad497f1dp-5"),
+        ("0x1.2c00000000000p+2", "0x1.3800000000000p+2", "-0x1.44794cc11e386p-7", "0x0.0p+0",
+         "0x1.2020fad497f1dp-5"),
+        ("-0x1.8000000000000p+1", "-0x1.6800000000000p+1", "0x1.fb5a6c83f3e02p-5", "0x0.0p+0",
+         "0x1.1093f463c2b9ep-5"),
+    ]
 
 
 def test_quadrature_on_known_integral():
