@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .compactify import CompactPoint, as_points, ball_distance, pair_distance, sphere_grid
-from .windows import cone_geometry, edge_taper, gaussian_window, logradial_window
+from .windows import cone_aperture, cone_geometry, edge_taper, gaussian_window, logradial_window
 
 INF = math.inf
 
@@ -51,17 +51,29 @@ class EvaluableDistribution:
         return self.analytic_ft
 
 
+def _corner(i0: np.ndarray, k: int) -> tuple:
+    """Lattice indices of corner k of the cells i0 (d, m): offset by bit j
+    of k along axis j."""
+    return tuple(i + ((k >> j) & 1) for j, i in enumerate(i0))
+
+
+def _blend(corner: Callable[[int], np.ndarray], fr: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation with in-cell fractions fr (d, m), d = 1 or
+    2, from corner(k), the values at the cells' `_corner` k."""
+    if len(fr) == 1:
+        return corner(0) * (1 - fr[0]) + corner(1) * fr[0]
+    return (
+        corner(0) * (1 - fr[0]) * (1 - fr[1])
+        + corner(1) * fr[0] * (1 - fr[1])
+        + corner(2) * (1 - fr[0]) * fr[1]
+        + corner(3) * fr[0] * fr[1]
+    )
+
+
 def _bilinear(V: np.ndarray, i0: np.ndarray, fr: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of the 1-D or 2-D array V at lattice cells
     i0 (d, m) with in-cell fractions fr (d, m)."""
-    if len(i0) == 1:
-        return V[i0[0]] * (1 - fr[0]) + V[i0[0] + 1] * fr[0]
-    return (
-        V[i0[0], i0[1]] * (1 - fr[0]) * (1 - fr[1])
-        + V[i0[0] + 1, i0[1]] * fr[0] * (1 - fr[1])
-        + V[i0[0], i0[1] + 1] * (1 - fr[0]) * fr[1]
-        + V[i0[0] + 1, i0[1] + 1] * fr[0] * fr[1]
-    )
+    return _blend(lambda k: V[_corner(i0, k)], fr)
 
 
 def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> EvaluableDistribution:
@@ -130,6 +142,20 @@ class WfProtocol:
                 raise ValueError(f"WfProtocol.{name} must be finite and > 0, got {v!r}")
         if not self.r_values().size:
             raise ValueError(f"WfProtocol.r_lo {self.r_lo!r} exceeds r_max = 0.6 * box")
+        v = self.rho_max_frac
+        if not (isinstance(v, numbers.Real) and math.isfinite(v) and 0 < v < 1):
+            raise ValueError(f"WfProtocol.rho_max_frac must be finite and in (0, 1), got {v!r}")
+        # a covariable off the lattice would read the clipped edge frequency
+        freqs = self.frequency_lattice()
+        lo, hi = freqs[0], freqs[-1]
+        for q in self.finite_q:
+            if len(q) != self.dim or not all(
+                isinstance(c, numbers.Real) and lo <= c <= hi for c in q
+            ):
+                raise ValueError(
+                    f"WfProtocol.finite_q point {q!r} is not a point of the frequency "
+                    f"lattice's range [{lo:.6g}, {hi:.6g}]^{self.dim}"
+                )
 
     @classmethod
     def make(
@@ -172,6 +198,10 @@ class WfProtocol:
     @property
     def nyquist(self) -> float:
         return math.pi / self.dx
+
+    def frequency_lattice(self) -> np.ndarray:
+        """The angular frequencies of the grid's FFT in ascending order."""
+        return np.fft.fftshift(np.fft.fftfreq(self.ngrid, d=self.dx)) * 2.0 * np.pi
 
     @property
     def r_max(self) -> float:
@@ -235,25 +265,28 @@ def fit_decay_exponent(scales: np.ndarray, stats: np.ndarray, floor_abs: float) 
 
 
 def octave_maxima(scales: np.ndarray, values: np.ndarray, lo: float) -> tuple:
-    """Per-octave maxima of values over geometric scale bins from lo.
+    """Per-octave maxima of values over geometric scale bins [lo 2^j,
+    lo 2^(j+1)) from lo; empty bins are skipped.
 
-    A trailing bin covering less than 60% of its octave (in log measure) is
-    dropped: a partially sampled octave underestimates the maximum."""
+    A trailing bin that the scales cover for less than 45% of its octave (in
+    log measure) is dropped: a partially sampled octave underestimates the
+    maximum."""
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
     smax = scales.max()
     n_oct = int(math.ceil(math.log2(max(smax / lo, 1.0 + 1e-9))))
-    cents, maxes = [], []
-    for j in range(n_oct):
-        a, b = lo * 2.0**j, lo * 2.0 ** (j + 1)
-        mask = (scales >= a) & (scales < b)
-        if not np.any(mask):
-            continue
-        if smax < b and math.log(max(smax / a, 1.0)) / math.log(2.0) < 0.45:
-            continue
-        cents.append(math.sqrt(a * b))
-        maxes.append(float(values[mask].max()))
-    return np.asarray(cents), np.asarray(maxes)
+    edges = np.ldexp(lo, np.arange(n_oct + 1))
+    order = np.argsort(scales, kind="stable")
+    starts = np.searchsorted(scales[order], edges)
+    bins = np.flatnonzero(starts[1:] > starts[:-1])
+    if not bins.size:
+        return np.empty(0), np.empty(0)
+    # bins in between are empty, so each segment ends at its bin's upper edge
+    maxes = np.maximum.reduceat(values[order][: starts[-1]], starts[bins])
+    keep = np.ones(bins.size, dtype=bool)
+    for i in np.flatnonzero(smax < edges[bins + 1]):
+        keep[i] = not math.log(max(smax / edges[bins[i]], 1.0)) / math.log(2.0) < 0.45
+    return np.sqrt(edges[bins[keep]] * edges[bins[keep] + 1]), maxes[keep]
 
 
 def _collapse_or_max(Ns, amps, protocol, floor_abs) -> float:
@@ -346,37 +379,49 @@ class WfSet:
 
 
 class _FourierContext:
-    """Grid samples of the distribution plus windowed FFT magnitudes."""
+    """Grid samples of the distribution plus windowed FFT magnitudes at a
+    fixed set of covariable probes (d, m).
 
-    def __init__(self, u: EvaluableDistribution, protocol: WfProtocol):
+    Each probe reads the 2^d lattice values around it, so a window's
+    transform is needed only there.  In 2-D the axis-0 pass of the FFT runs
+    only on the columns those stencils touch (output pruning); the values
+    are bitwise those of `np.fft.fftn`, which runs the same 1-D transforms
+    axis by axis, last axis first."""
+
+    def __init__(self, u: EvaluableDistribution, protocol: WfProtocol, probes: np.ndarray):
         self.protocol = protocol
         d, L, n = protocol.dim, protocol.box, protocol.ngrid
         axes = [(-L + (np.arange(n) + 0.5) * protocol.dx) for _ in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.X = np.stack([m.ravel() for m in mesh])
-        self.axis = axes[0]
         self.uvals = u.values(self.X) * edge_taper(self.X, L)
         self.u_scale = float(np.max(np.abs(self.uvals))) + 1e-300
-        self.freqs = np.fft.fftshift(np.fft.fftfreq(n, d=protocol.dx)) * 2.0 * np.pi
         self._shape = (n,) * d
+        freqs = protocol.frequency_lattice()
+        t = (as_points(probes, d) - freqs[0]) / (freqs[1] - freqs[0])
+        i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
+        self._frac = np.clip(t - i0, 0.0, 1.0)
+        # entry s of the ascending (fftshift-ed) lattice is FFT bin s - n//2 mod n
+        bins = (np.stack([np.stack(_corner(i0, k)) for k in range(2**d)]) - n // 2) % n
+        if d == 1:
+            self._gather = (bins[:, 0],)
+        else:
+            self._cols, at = np.unique(bins[:, 1], return_inverse=True)
+            self._gather = (bins[:, 0], at.reshape(bins[:, 1].shape))
 
-    def windowed_abs(self, wvals: np.ndarray):
-        """|F[w u]| on the shifted frequency lattice, normalized by the
-        window mass; returns an interpolator over covariable points."""
+    def windowed_abs(self, wvals: np.ndarray) -> np.ndarray:
+        """|F[w u]| at the probes, interpolated on the frequency lattice and
+        normalized by the window mass: one value per probe."""
         d = self.protocol.dim
         dx = self.protocol.dx
         mass = float(np.sum(np.abs(wvals))) * dx**d + 1e-300
-        W = np.fft.fftshift(np.fft.fftn((wvals * self.uvals).reshape(self._shape)))
-        Wabs = np.abs(W) * dx**d / mass
-        freqs = self.freqs
-        dp = freqs[1] - freqs[0]
-
-        def interp(P: np.ndarray) -> np.ndarray:
-            t = (as_points(P, d) - freqs[0]) / dp
-            i0 = np.clip(np.floor(t).astype(int), 0, len(freqs) - 2)
-            return _bilinear(Wabs, i0, np.clip(t - i0, 0.0, 1.0))
-
-        return interp
+        wu = (wvals * self.uvals).reshape(self._shape)
+        if d == 1:
+            W = np.fft.fft(wu)
+        else:
+            W = np.fft.fft(np.fft.fft(wu, axis=1)[:, self._cols], axis=0)
+        mags = np.abs(W[self._gather]) * dx**d / mass
+        return _blend(mags.__getitem__, self._frac)
 
 
 def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
@@ -389,8 +434,14 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
     """
     if protocol.dim > 2:
         raise ValueError("wf_scan supports d <= 2")
-    ctx = _FourierContext(u, protocol)
     p = protocol
+    # the probes: every covariable ray rho q, then the finite covariables
+    rho = p.rho_dense()
+    nq, nrho = len(p.q_dirs), len(rho)
+    probes = [np.outer(np.asarray(qd), rho) for qd in p.q_dirs]
+    probes += [np.asarray(q, dtype=float)[:, None] for q in p.finite_q]
+    ctx = _FourierContext(u, p, np.hstack(probes))
+    n_ray = nq * nrho
     floor_abs = p.floor * max(1.0, ctx.u_scale)
     cells: List[WfCell] = []
 
@@ -409,13 +460,13 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
 
     # classical windows: a cell is regular as soon as one tested window
     # width certifies rapid decay (the existential cutoff quantifier)
-    rho = p.rho_dense()
     for y in p.classical_centers:
-        interps = [ctx.windowed_abs(gaussian_window(ctx.X, y, sg)) for sg in p.sigmas]
-        for qd in p.q_dirs:
-            pts = np.outer(np.asarray(qd), rho)
-            profiles = [itp(pts) for itp in interps]
-            families = [(prof.max(), [prof]) for prof in profiles]
+        ray_mags = [
+            ctx.windowed_abs(gaussian_window(ctx.X, y, sg))[:n_ray].reshape(nq, nrho)
+            for sg in p.sigmas
+        ]
+        for j, qd in enumerate(p.q_dirs):
+            families = [(mags[j].max(), [mags[j]]) for mags in ray_mags]
             cell(CompactPoint.finite(y), CompactPoint.direction(qd), "classical",
                  families, rho, p.rho_lo)
 
@@ -433,26 +484,21 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
     )
     for wd in p.x_dirs:
         geom = cone_geometry(ctx.X, wd)
-        # rebound before it is refilled, so that only one direction's
-        # windowed magnitudes are alive at a time
+        # per shape, the magnitudes (window radius, probe)
         fam = []
         for tau, alpha in shapes:
-            fam.append(
-                [ctx.windowed_abs(logradial_window(geom, r, tau, alpha)) for r in rvals]
-            )
+            cone = cone_aperture(geom, alpha)
+            fam.append(np.stack([ctx.windowed_abs(logradial_window(cone, r, tau)) for r in rvals]))
         # e-cells: fixed finite covariable, decay in r
-        for q in p.finite_q:
-            qa = np.asarray(q, dtype=float)[:, None]
-            profiles = [np.array([float(itp(qa)[0]) for itp in interps]) for interps in fam]
-            families = [(prof.max(), [prof]) for prof in profiles]
+        for k, q in enumerate(p.finite_q):
+            families = [(mags[:, n_ray + k].max(), [mags[:, n_ray + k]]) for mags in fam]
             cell(CompactPoint.direction(wd), CompactPoint.finite(q), "e",
                  families, rvals, p.r_lo)
         # corner cells
-        for qd in p.q_dirs:
-            pts = np.outer(np.asarray(qd), rho)
+        for j, qd in enumerate(p.q_dirs):
             families = []
-            for interps in fam:
-                mat = np.stack([itp(pts) for itp in interps])  # (nr, nrho)
+            for mags in fam:
+                mat = mags[:, j * nrho : (j + 1) * nrho]  # (nr, nrho)
                 families.append((mat.max(), [mat[sel].max(axis=0) for sel in selections]))
             cell(CompactPoint.direction(wd), CompactPoint.direction(qd), "corner",
                  families, rho, p.rho_lo)

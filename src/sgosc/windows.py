@@ -64,14 +64,22 @@ def cone_geometry(X: np.ndarray, omega) -> tuple:
     return live, np.log(rl), np.arccos(cosang)
 
 
-def logradial_window(geom: tuple, r: float, tau: float, alpha: float) -> np.ndarray:
-    """Cone window on a `cone_geometry`: gaussian in log|x| around log r
-    times an angular gaussian around the direction (aperture alpha).
-    Vanishes to all orders at the origin."""
+def cone_aperture(geom: tuple, alpha: float) -> tuple:
+    """(live, log_r, angular) of the cone windows of aperture alpha on a
+    `cone_geometry`: the angular gaussian around the direction is the same
+    for every window radius, so it is computed once per aperture."""
     live, log_r, ang = geom
+    return live, log_r, np.exp(-0.5 * (ang / alpha) ** 2)
+
+
+def logradial_window(cone: tuple, r: float, tau: float) -> np.ndarray:
+    """Cone window on a `cone_aperture`: gaussian in log|x| around log r
+    times the cone's angular gaussian.  Vanishes to all orders at the
+    origin."""
+    live, log_r, angular = cone
     out = np.zeros(live.shape)
     rad = np.exp(-0.5 * ((log_r - math.log(r)) / tau) ** 2)
-    out[live] = rad * np.exp(-0.5 * (ang / alpha) ** 2)
+    out[live] = rad * angular
     return out
 
 

@@ -210,7 +210,16 @@ def test_wf_protocol_default_lattices(dim):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"tau_radial": 0}, {"alpha_angular": 0}, {"ngrid": 0}, {"sigma_classical": [0.0]}],
+    [
+        {"tau_radial": 0},
+        {"alpha_angular": 0},
+        {"ngrid": 0},
+        {"sigma_classical": [0.0]},
+        {"rho_max_frac": -1.0},
+        {"rho_max_frac": 2.0},
+        {"finite_q": [[100.0]]},
+        {"finite_q": [["a"]]},
+    ],
 )
 def test_wf_scan_bad_protocol_exits_2(tmp_path, capsys, bad):
     cfg = {

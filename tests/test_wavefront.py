@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,10 @@ from sgosc.synth import PrescribedWfSpec, make_fk, make_g, make_prescribed
 from sgosc.wavefront import (
     EvaluableDistribution,
     WfProtocol,
+    _bilinear,
+    _FourierContext,
+    grid_sampled_distribution,
+    octave_maxima,
     csp_scan,
     css_scan,
     fio_extension_guard,
@@ -17,7 +22,7 @@ from sgosc.wavefront import (
     pairing_predicate,
     wf_scan,
 )
-from sgosc.windows import cone_geometry, logradial_window
+from sgosc.windows import cone_aperture, cone_geometry, gaussian_window, logradial_window
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +269,191 @@ def test_wf_scan_pinned(proto1d, gtrain):
     )
 
 
+def _prescribed_2d(ngrid, finite_q):
+    """Criterion 4's prescribed wave front on a 2-D protocol of 8 directions
+    at box 16 (the 2-D scan of `test_wf_scan_pinned` at ngrid 256)."""
+    dirs = sphere_grid(2, 16)
+    spec = PrescribedWfSpec(asymptotic=[(dirs[2], dirs[5]), (dirs[9], dirs[13])])
+    proto = WfProtocol.make(
+        2,
+        box=16.0,
+        ngrid=ngrid,
+        n_dirs=8,
+        rho_max_frac=0.7,
+        classical_centers=[(0.0, 0.0)],
+        finite_q=finite_q,
+        floor=3e-6,
+    )
+    return make_prescribed(spec, 2, K_max=2), proto
+
+
+def test_wf_scan_pinned_odd_grid_and_1d_4096():
+    """Bitwise pins of two more scans: the 2-D prescribed scan at the odd
+    ngrid 255, with a finite covariable in the last lattice cell of axis 0
+    and the first of axis 1 (the lattice is +-24.936 in steps of 0.196), and
+    the CLI's 1-D `wf-scan` of the catalog g-train (K_max 3) at ngrid 4096
+    with its other defaults (box 64, 2 directions, the {-2..2} lattices)."""
+    u, proto = _prescribed_2d(255, [(0.0, 0.0), (1.0, 0.0), (24.85, -24.9)])
+    assert _wf_digest(wf_scan(u, proto)) == (
+        "988b564d988e101efbb83a1efc3a1b06c197f730ad35ea9add3488e2cc4d002e"
+    )
+    proto1 = WfProtocol.make(1, box=64.0, ngrid=4096, n_dirs=2)
+    assert _wf_digest(wf_scan(make_g([1.0], [1.0], K_max=3), proto1)) == (
+        "e100c22408a6bce0284824b21cd2736e8d1cd9428701791648f5004b3830489a"
+    )
+
+
+def _random_grid(d, n, complex_u, seed=5):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n,) * d)
+    if complex_u:
+        vals = vals + 1j * rng.standard_normal((n,) * d)
+    return vals
+
+
+@pytest.mark.parametrize(
+    "d, n, complex_u",
+    [(1, 2048, False), (1, 1023, True), (2, 64, False), (2, 63, False), (2, 64, True), (2, 63, True)],
+)
+def test_windowed_magnitudes_equal_full_transform(d, n, complex_u):
+    """The pruned probe magnitudes equal, bit for bit, the full transform:
+    fftn, fftshift, abs scaled by dx^d / mass, then `_bilinear` at each
+    probe's lattice cell, with probes inside, on and at the ends of the
+    lattice."""
+    L = 8.0
+    u = grid_sampled_distribution(_random_grid(d, n, complex_u), L)
+    lattice = [tuple([0.0] * d)] if d == 1 else [(0.0, 0.0), (0.3, -0.7)]
+    proto = WfProtocol.make(d, box=L, ngrid=n, n_dirs=8, finite_q=lattice)
+    freqs = proto.frequency_lattice()
+    rng = np.random.default_rng(1)
+    ends = [freqs[0], freqs[-1], 0.5 * (freqs[-2] + freqs[-1]), 0.5 * (freqs[0] + freqs[1])]
+    probes = np.hstack(
+        [
+            rng.uniform(freqs[0], freqs[-1], (d, 200)),
+            np.array(list(itertools.product(ends, repeat=d))).T,
+            np.outer(np.ones(d), freqs[::7]),
+        ]
+    )
+    ctx = _FourierContext(u, proto, probes)
+    t = (probes - freqs[0]) / (freqs[1] - freqs[0])
+    i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
+    fr = np.clip(t - i0, 0.0, 1.0)
+    dx = proto.dx
+    geom = cone_geometry(ctx.X, sphere_grid(d, 8)[1])
+    windows = [
+        gaussian_window(ctx.X, lattice[-1], 0.5),
+        logradial_window(cone_aperture(geom, 0.35), 4.0, 0.3),
+    ]
+    for w in windows:
+        mass = float(np.sum(np.abs(w))) * dx**d + 1e-300
+        W = np.fft.fftshift(np.fft.fftn((w * ctx.uvals).reshape((n,) * d)))
+        reference = _bilinear(np.abs(W) * dx**d / mass, i0, fr)
+        got = ctx.windowed_abs(w)
+        assert got.shape == (probes.shape[1],)
+        assert np.array_equal(got, reference)
+
+
+def test_wf_scan_transforms_only_probed_columns(monkeypatch):
+    """Work guard on the 256^2 pinned protocol: each window's axis-1 pass
+    covers every row, its axis-0 pass only the columns that the probes'
+    stencils touch, and no window transforms or shifts the full grid in
+    one call."""
+    u, proto = _prescribed_2d(256, [(0.0, 0.0), (1.0, 0.0)])
+    n = proto.ngrid
+    rho = proto.rho_dense()
+    probes = np.hstack(
+        [np.outer(np.asarray(qd), rho) for qd in proto.q_dirs]
+        + [np.asarray(q, dtype=float)[:, None] for q in proto.finite_q]
+    )
+    freqs = proto.frequency_lattice()
+    i1 = np.clip(np.floor((probes[1] - freqs[0]) / (freqs[1] - freqs[0])).astype(int), 0, n - 2)
+    touched = np.unique(np.concatenate([i1, i1 + 1]) - n // 2) % n
+    assert 0 < touched.size < n
+
+    calls = []
+    fft = np.fft.fft
+
+    def recording(name, f):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a), kwargs.get("axis", -1)))
+            return f(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "fft", recording("fft", fft))
+    monkeypatch.setattr(np.fft, "fftn", recording("fftn", np.fft.fftn))
+    monkeypatch.setattr(np.fft, "fftshift", recording("fftshift", np.fft.fftshift))
+    wf = wf_scan(u, proto)
+    assert _wf_digest(wf) == "e513d9871a863d391fb064825174288582a9438b676f361f73d7bf501e859e44"
+
+    n_windows = len(proto.sigmas) * len(proto.classical_centers) + 3 * len(proto.x_dirs) * len(
+        proto.r_values()
+    )
+    full = [c for c in calls if c[0] != "fft" and np.prod(c[1]) >= n * n]
+    assert full == []
+    rows = [c for c in calls if c == ("fft", (n, n), 1)]
+    cols = [c for c in calls if c == ("fft", (n, touched.size), 0)]
+    assert len(rows) == len(cols) == n_windows
+    assert len([c for c in calls if c[0] == "fft"]) == 2 * n_windows
+
+
+@pytest.mark.parametrize(
+    "d, bad",
+    [
+        (1, {"rho_max_frac": -1.0}),
+        (1, {"rho_max_frac": 0.0}),
+        (1, {"rho_max_frac": 1.0}),
+        (1, {"rho_max_frac": 2.0}),
+        (1, {"rho_max_frac": math.nan}),
+        (1, {"finite_q": ((100.0,),)}),
+        (1, {"finite_q": ((0.0, 0.0),)}),
+        (2, {"finite_q": ((100.0, 0.0),)}),  # Nyquist 25.1 at box 16, ngrid 256
+        (2, {"finite_q": ((0.0, math.nan),)}),
+    ],
+)
+def test_protocol_rejects_unmeasurable_covariables(d, bad):
+    """A probe range past the Nyquist frequency, or a finite covariable off
+    the frequency lattice, would read clipped edge values: refused."""
+    base = WfProtocol.make(d, box=64.0 if d == 1 else 16.0, ngrid=2048 if d == 1 else 256)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        base.replace(**bad)
+
+
+def test_octave_maxima_equals_loop_reference():
+    """The one-pass octave maxima equal the per-octave loop's bit for bit,
+    on sorted and shuffled scales, with empty octaves and partly covered
+    trailing octaves."""
+
+    def reference(scales, values, lo):
+        smax = scales.max()
+        n_oct = int(math.ceil(math.log2(max(smax / lo, 1.0 + 1e-9))))
+        cents, maxes = [], []
+        for j in range(n_oct):
+            a, b = lo * 2.0**j, lo * 2.0 ** (j + 1)
+            mask = (scales >= a) & (scales < b)
+            if not np.any(mask):
+                continue
+            if smax < b and math.log(max(smax / a, 1.0)) / math.log(2.0) < 0.45:
+                continue
+            cents.append(math.sqrt(a * b))
+            maxes.append(float(values[mask].max()))
+        return np.asarray(cents), np.asarray(maxes)
+
+    rng = np.random.default_rng(3)
+    cases = [(np.geomspace(0.5, 70.0, 120), 0.5), (np.arange(1.0, 9.0), 4.0)]
+    for top in (1.3, 1.4, 1.5, 2.0, 3.9, 4.0, 300.0):
+        cases.append((np.geomspace(1.0, top, 40), 1.0))
+    cases.append((np.concatenate([[0.6, 0.7], np.geomspace(5.0, 40.0, 9)]), 0.5))
+    cases.append((rng.permutation(np.geomspace(0.5, 90.0, 77)), 0.5))
+    cases.append((np.array([0.1, 0.2]), 0.5))
+    for scales, lo in cases:
+        values = rng.standard_normal(scales.size)
+        got = octave_maxima(scales, values, lo)
+        want = reference(scales, values, lo)
+        assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -289,7 +479,7 @@ def test_logradial_window_origin_and_ray():
     on_ray = omega[:, None] / 5.0 * r
     off_ray = np.array([[0.0], [r]])
     X = np.hstack([on_ray, np.zeros((2, 1)), off_ray, 2.0 * on_ray])
-    w = logradial_window(cone_geometry(X, omega), r, tau, alpha)
+    w = logradial_window(cone_aperture(cone_geometry(X, omega), alpha), r, tau)
     assert w[0] == pytest.approx(1.0, rel=1e-12)
     assert w[1] == 0.0  # the origin: no half-offset scan grid holds it
     assert 0.0 < w[2] < w[0] and 0.0 < w[3] < w[0]
