@@ -294,20 +294,24 @@ class Jet:
         return self.compose(e, e, lambda v, k, ia, ib: _pair_sum(deg[ia], u[ia], v[ib]) / deg[k])
 
     def sin(self) -> "Jet":
-        return self._sincos(np.sin(self.value), np.cos(self.value))
+        return self._sincos(np.sin(self.value), lambda u0: np.cos(u0))
 
     def cos(self) -> "Jet":
-        return self._sincos(np.cos(self.value), -np.sin(self.value))
+        return self._sincos(np.cos(self.value), lambda u0: -np.sin(u0))
 
-    def _sincos(self, f0, g0) -> "Jet":
-        """f(u) for the pair f' = g, g' = -f with values f0 and g0 at u's
-        value: sin is (sin, cos), cos is (cos, -sin).  The partner g's rows
-        are filled alongside f's: f_k = sum deg_ia u[ia] g[ib] / deg_k and
-        g_k = -sum deg_ia u[ia] f[ib] / deg_k.  Row k of f reads g's rows of
-        lower degree only, so g stops one degree below the order, and at
+    def _sincos(self, f0, partner) -> "Jet":
+        """f(u) for the pair f' = g, g' = -f with value f0 at u's value and
+        g's value partner(u0): sin is (sin, cos), cos is (cos, -sin).  At
+        order 0 nothing reads g, so partner is not called.  The partner g's
+        rows are filled alongside f's: f_k = sum deg_ia u[ia] g[ib] / deg_k
+        and g_k = -sum deg_ia u[ia] f[ib] / deg_k.  Row k of f reads g's rows
+        of lower degree only, so g stops one degree below the order, and at
         order <= 1, where the chain rule gives every row, g is not built."""
         sp, u, deg = self.space, self.c, self.space.degree
-        if sp.order <= 1:
+        if sp.order == 0:
+            return self.compose(f0, 0.0, None)
+        g0 = partner(self.value)
+        if sp.order == 1:
             return self.compose(f0, g0, None)
         g = np.zeros(u.shape, np.result_type(u, g0))
         g[0] = g0

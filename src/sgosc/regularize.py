@@ -2,7 +2,9 @@
 
 The full operator P = u.grad_xi + v.grad_x + w satisfies tP e^{i phi} =
 e^{i phi} and trades one phase order per application: P maps SG^(m,mu) into
-SG^(m-n, mu-nu).  The xi-only operator Q and the (x,p)-dependent operator Qp
+SG^(m-n, mu-nu).  P = chi + (1 - chi)(...) is the identity on chi's plateau
+|(x, xi)| <= R, where chi = 1 and u = v = 0, so P^r(a f) = a f there and
+apply_P_r builds the components and applies P only off the plateau.  The xi-only operator Q and the (x,p)-dependent operator Qp
 regularize on cone supports where |grad_xi phi|^2 (resp. |grad_x phi - p|^2)
 stays elliptic.  Components are exact jet expressions; the adjoint identities
 are verified numerically, never formed symbolically.
@@ -26,7 +28,7 @@ from .compactify import (
     japanese_bracket,
     smoothstep_jet,
 )
-from .jets import Jet, base_points, jet_variables, norm2_jet, radius
+from .jets import Jet, base_points, jet_space, jet_variables, norm2_jet, radius
 from .phase import PhaseFn, _dist_to_cone, grad_xi_sq_symbol, require_admissible
 from .symbols import (
     DEFAULT_PROTOCOL,
@@ -90,6 +92,12 @@ class RegularizerP:
     R: float
     protocol: ScanProtocol
 
+    def off_plateau(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Mask of the columns with |(x, xi)| > R, where chi may fall below 1;
+        on the others P is the identity."""
+        t0 = np.sqrt(np.sum(x * x, axis=0) + (np.sum(xi * xi, axis=0) if self.phi.s else 0.0))
+        return t0 > self.R
+
     def chi_jet(self, vars_: Sequence[Jet]) -> Jet:
         t0 = radius(vars_)
 
@@ -110,8 +118,7 @@ class RegularizerP:
         bk2 = 1.0 + norm2_jet(vhigh[d:])
         eta_j = norm2_jet(gx) * bx2 + norm2_jet(gk) * bk2
         chi_hi = self.chi_jet(vhigh)
-        t0 = np.sqrt(np.sum(x * x, axis=0) + (np.sum(xi * xi, axis=0) if s else 0.0))
-        live = t0 > self.R
+        live = self.off_plateau(x, xi)
         einv = None  # (1 - chi)/eta on the live columns
         if np.any(live):
             eta_l = eta_j.columns(live)
@@ -166,7 +173,12 @@ def build_P(
 
 
 def apply_P_r(P: RegularizerP, a: SymbolFn, f=None, r: int = 1) -> SymbolFn:
-    """P^r(a(x,xi) f(x)) as a SymbolFn of order (m - r n, mu - r nu)."""
+    """P^r(a(x,xi) f(x)) as a SymbolFn of order (m - r n, mu - r nu).
+
+    P is the identity on chi's plateau |(x, xi)| <= R, so the columns there
+    get the jet of a f at the requested order; only the columns off the
+    plateau take a f at order + r, the components and r applications of P.
+    For r >= 1 the jet is complex128 whichever columns the batch holds."""
     phi = P.phi
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -175,18 +187,33 @@ def apply_P_r(P: RegularizerP, a: SymbolFn, f=None, r: int = 1) -> SymbolFn:
 
     out_order = order_shift((m, mu), -r * n, -r * nu)
 
+    def af(x, xi, order):
+        v = jet_variables(order, x, xi)
+        g = a.jet_fn(v[: phi.d], v[phi.d :])
+        return g if f is None else g * f.jet_from_vars(v[: phi.d])
+
     def jet_fn(xj, kj):
         x, xi, order = base_points(xj, kj)
-        g = a.jet(x, xi, order + r)
-        if f is not None:
-            vars_hi = jet_variables(order + r, x, xi)
-            g = g * f.jet_from_vars(vars_hi[: phi.d])
         if r == 0:
-            return g
-        u, v, w, _ = P.component_jets(x, xi, order + r - 1)
-        for _t in range(r):
-            g = P.apply_jet(g, u, v, w)
-        return g
+            return af(x, xi, order)
+        off = P.off_plateau(x, xi)
+        # numpy sums a lone column in another order than the same column of
+        # a wider batch, so a part of one column is not split off
+        if min(np.count_nonzero(off), np.count_nonzero(~off)) == 1:
+            off[:] = True
+        sp = jet_space(len(xj) + len(kj), order)
+        # the zeros start the plateau's sum as P's products do, so -0.0 reads +0.0
+        c = np.zeros((sp.ncoef, off.size), complex)
+        if not np.all(off):
+            c[:, ~off] += af(x[:, ~off], xi[:, ~off], order).c
+        if np.any(off):
+            xo, ko = x[:, off], xi[:, off]
+            g = af(xo, ko, order + r)
+            u, v, w, _ = P.component_jets(xo, ko, order + r - 1)
+            for _t in range(r):
+                g = P.apply_jet(g, u, v, w)
+            c[:, off] = g.c
+        return Jet(sp, c)
 
     src = f"P^{r}[({a.source})" + (f"*{getattr(f, 'source', 'f')}(x)]" if f is not None else "]")
     return SymbolFn(phi.d, phi.s, out_order, jet_fn, src)

@@ -145,6 +145,13 @@ class WfProtocol:
         v = self.rho_max_frac
         if not (isinstance(v, numbers.Real) and math.isfinite(v) and 0 < v < 1):
             raise ValueError(f"WfProtocol.rho_max_frac must be finite and in (0, 1), got {v!r}")
+        # a probe range that runs downward leaves no octave to fit a decay on
+        top = v * self.nyquist
+        if self.rho_lo >= top:
+            raise ValueError(
+                f"WfProtocol.rho_lo {self.rho_lo!r} is not below the probe top "
+                f"rho_max_frac * nyquist = {top:.6g}"
+            )
         # a covariable off the lattice would read the clipped edge frequency
         freqs = self.frequency_lattice()
         lo, hi = freqs[0], freqs[-1]

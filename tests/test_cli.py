@@ -217,6 +217,7 @@ def test_wf_protocol_default_lattices(dim):
         {"sigma_classical": [0.0]},
         {"rho_max_frac": -1.0},
         {"rho_max_frac": 2.0},
+        {"rho_lo": 40.0},  # the probe top is 0.7 * nyquist = 35.2
         {"finite_q": [[100.0]]},
         {"finite_q": [["a"]]},
     ],

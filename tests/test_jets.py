@@ -341,6 +341,21 @@ def test_compositions_match_sympy_at_order_4():
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (name, gamma)
 
 
+def test_sin_cos_order_zero_are_numpys():
+    """Order-0 sin and cos are np.sin and np.cos of the values, byte for
+    byte, from the +0.0 every jet row starts at (so -0.0 reads +0.0)."""
+    rng = np.random.default_rng(78)
+    space = jet_space(7, 0)
+    for dtype in (float, complex):
+        u = Jet(space, _signed_zero_coeffs(rng, 1, 1000, dtype))
+        for method, fn in ((Jet.sin, np.sin), (Jet.cos, np.cos)):
+            got, want = method(u).c, fn(u.c)
+            assert got.dtype == u.c.dtype
+            assert got.tobytes() == (0.0 + want).tobytes()
+            nonzero = (want.real != 0) & (want.imag != 0) if dtype is complex else want != 0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
 def test_sin_cos_pinned():
     """sin and cos at orders 0 to 3, real and complex, signed zeros
     included, byte for byte as the version that filled the partner's every

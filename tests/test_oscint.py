@@ -8,7 +8,9 @@ from sgosc.oscint import (
     MAX_NODES_PER_CALL,
     IntegrabilityError,
     NonConvergenceError,
+    OscIntegral,
     SchwartzFn,
+    _box_grid,
     adaptive_tensor,
     choose_r,
     direct_quadrature,
@@ -17,6 +19,7 @@ from sgosc.oscint import (
     make_osc_integral,
 )
 from sgosc.phase import check_admissible
+from sgosc.regularize import build_P
 from sgosc.symbols import constant_symbol
 
 
@@ -222,6 +225,29 @@ def test_nonfinite_integrand_fails_fast(bad):
     # node 7 is the midpoint of the first cell
     assert ei.value.diagnostic["lo"] == [-4.0]
     assert ei.value.diagnostic["hi"][0] == pytest.approx(-4.0 / 3.0)
+
+
+def test_pairing_nan_from_f_on_the_plateau_names_its_cell(bracket_phase, gauss_pair):
+    # chi's plateau |(x, xi)| <= 100 holds the whole box, so every node
+    # skips P; f is NaN on a band of x between two of the tail bound's grid
+    # points, so the box is certified and only the quadrature meets the NaN
+    a, gauss = gauss_pair
+    grid = _box_grid(9.0, 1)[0]
+    k = int(np.searchsorted(grid, 0.3))
+    lo, hi = grid[k - 1], grid[k]
+
+    def jet_fn(xj):
+        g = gauss.jet_from_vars(xj)
+        g.c[:, (xj[0].value > lo) & (xj[0].value < hi)] = math.nan
+        return g
+
+    P = build_P(bracket_phase, R=100.0)
+    I = OscIntegral(phi=bracket_phase, a=a, P=P, r=1, box=(9.0, 9.0), tol=1e-8)
+    with pytest.raises(NonConvergenceError, match="non-finite") as ei:
+        eval_pairing(I, SchwartzFn(1, jet_fn, "gauss-nan-band"))
+    cell = ei.value.diagnostic
+    assert cell["lo"][0] < hi and cell["hi"][0] > lo
+    assert math.hypot(*(max(abs(u), abs(v)) for u, v in zip(cell["lo"], cell["hi"]))) <= P.R
 
 
 def test_adaptive_tensor_pinned():

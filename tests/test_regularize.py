@@ -3,10 +3,12 @@ import pytest
 
 from sgosc.catalog import KgSpec, gaussian_amplitude, sep_power_phase
 from sgosc.compactify import CompactPoint
+from sgosc.jets import jet_variables
 from sgosc.oscint import SchwartzFn
-from sgosc.phase import check_admissible
+from sgosc.phase import PhaseFn, check_admissible
 from sgosc.regularize import (
     ConeLocalizer,
+    RegularizerP,
     RegularizerRefused,
     apply_P_r,
     build_P,
@@ -14,7 +16,7 @@ from sgosc.regularize import (
     build_Qp,
     residual_P,
 )
-from sgosc.symbols import constant_symbol, verify_order
+from sgosc.symbols import DEFAULT_PROTOCOL, SymbolFn, constant_symbol, verify_order
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +207,97 @@ def test_all_three_adjoint_identities_on_random_points():
     Q = build_Q(phi, loc)
     k2 = rng.uniform(2, 80, (1, 1000))
     assert Q.residual(rng.uniform(-3, 3, (1, 1000)), k2).max() < 1e-8
+
+
+# -- P^r only off chi's plateau ----------------------------------------------------
+
+
+def _plateau_cases():
+    phi = sep_power_phase(1, 1)
+    check_admissible(phi)
+    yield build_P(phi), gaussian_amplitude(1, 1), SchwartzFn.gaussian(1)
+    spec = KgSpec(1.0, 1)
+    phi = spec.phase()
+    check_admissible(phi)
+    yield build_P(phi), spec.truncated_amplitude(6.0), SchwartzFn.gaussian(2)
+    # no f, and an amplitude whose vanishing derivatives at x = 0 read -0.0
+    phi = sep_power_phase(1, 1)
+    yield build_P(phi), -gaussian_amplitude(1, 1), None
+
+
+def _mixed_batch(P, seed=7):
+    """Three columns each on the plateau (the origin among them), in the
+    shell R < |(x, xi)| < R + 1 and beyond it, plus a -0.0 coordinate."""
+    d, s = P.phi.d, P.phi.s
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(d + s, 9))
+    dirs /= np.linalg.norm(dirs, axis=0)
+    rad = np.concatenate(
+        [[0.0, 0.4 * P.R, P.R], P.R + np.array([0.2, 0.5, 0.9]), P.R + np.array([1.5, 4.0, 9.0])]
+    )
+    X = dirs * rad
+    X[0, 1] = -0.0
+    return X[:d], X[d:], rad <= P.R
+
+
+def _af(a, f, x, xi, order, d):
+    v = jet_variables(order, x, xi)
+    g = a.jet_fn(v[:d], v[d:])
+    return g if f is None else g * f.jet_from_vars(v[:d])
+
+
+def _full_path(P, a, f, r, x, xi, order):
+    """P^r(a f) with the components and P applied on every column."""
+    g = _af(a, f, x, xi, order + r, P.phi.d)
+    u, vv, w, _ = P.component_jets(x, xi, order + r - 1)
+    for _ in range(r):
+        g = P.apply_jet(g, u, vv, w)
+    return g.c
+
+
+def test_apply_P_r_splits_on_the_plateau_bitwise():
+    for P, a, f in _plateau_cases():
+        x, xi, on = _mixed_batch(P)
+        for r in (1, 2, 3):
+            g = apply_P_r(P, a, f, r)
+            for order in (0, 1, 2):
+                got = g.jet(x, xi, order).c
+                assert got.dtype == np.complex128
+                assert got.tobytes() == _full_path(P, a, f, r, x, xi, order).tobytes()
+                # numpy sums a lone column in another order than the same
+                # column of a wider batch, so each column goes in as two copies
+                for j in range(x.shape[1]):
+                    one = g.jet(x[:, [j, j]], xi[:, [j, j]], order).c[:, :1]
+                    assert one.tobytes() == np.ascontiguousarray(got[:, j : j + 1]).tobytes()
+                af = _af(a, f, x[:, on], xi[:, on], order, P.phi.d).c
+                assert np.array_equal(got[:, on], af)
+                # a lone column on either side of R stays in the full batch
+                for lone in ([0, 1, 2, 3], [0, 3, 4, 5]):
+                    want = _full_path(P, a, f, r, x[:, lone], xi[:, lone], order)
+                    assert g.jet(x[:, lone], xi[:, lone], order).c.tobytes() == want.tobytes()
+
+
+def test_apply_P_r_on_the_plateau_skips_the_components(monkeypatch):
+    P, a, f = next(_plateau_cases())
+    x, xi, on = _mixed_batch(P)
+
+    def refuse(*args):
+        raise AssertionError("component_jets called on the plateau")
+
+    monkeypatch.setattr(type(P), "component_jets", refuse)
+    for r in (1, 2, 3):
+        got = apply_P_r(P, a, f, r).jet(x[:, on], xi[:, on], 2)
+        assert got.c.dtype == np.complex128
+        assert np.array_equal(got.value, a.value(x[:, on], xi[:, on]) * f.value(x[:, on]))
+
+
+def test_apply_P_r_refuses_vanishing_eta_off_the_plateau():
+    # eta vanishes only at (x, xi) = (5, 0), outside the plateau |(x, xi)| <= 3
+    sym = SymbolFn(1, 1, (2.0, 2.0), lambda xj, kj: (xj[0] - 5.0) ** 2 + kj[0] ** 2, "bowl")
+    P = RegularizerP(phi=PhaseFn(sym, (2.0, 2.0)), R=3.0, protocol=DEFAULT_PROTOCOL)
+    one = constant_symbol(1, 1, 1.0)
+    x = np.array([[0.0, 1.0, 5.0, 6.0]])
+    xi = np.array([[0.0, 0.5, 0.0, 0.0]])
+    assert apply_P_r(P, one, None, 1).jet(x[:, :2], xi[:, :2], 0).value.tolist() == [1, 1]
+    with pytest.raises(RegularizerRefused, match="eta vanishes"):
+        apply_P_r(P, one, None, 1).jet(x, xi, 0)

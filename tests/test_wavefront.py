@@ -419,6 +419,15 @@ def test_protocol_rejects_unmeasurable_covariables(d, bad):
         base.replace(**bad)
 
 
+@pytest.mark.parametrize("rho_lo", [40.0, 0.7 * math.pi / (128.0 / 2048)])
+def test_protocol_refuses_rho_lo_at_or_above_the_probe_top(rho_lo):
+    """At box 64, ngrid 2048 the probes stop at 0.7 * nyquist = 35.19; a
+    rho_lo there or above would run them downward."""
+    with pytest.raises(ValueError, match=r"rho_lo (40\.0|35\.18).* = 35\.18"):
+        WfProtocol.make(1, box=64.0, ngrid=2048, n_dirs=2, rho_lo=rho_lo)
+    assert WfProtocol.make(1, box=64.0, ngrid=2048, n_dirs=2, rho_lo=35.0).rho_dense()[-1] > 35.0
+
+
 def test_octave_maxima_equals_loop_reference():
     """The one-pass octave maxima equal the per-octave loop's bit for bit,
     on sorted and shuffled scales, with empty octaves and partly covered
