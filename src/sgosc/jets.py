@@ -294,7 +294,7 @@ class Jet:
         return self.compose(e, e, lambda v, k, ia, ib: _pair_sum(deg[ia], u[ia], v[ib]) / deg[k])
 
     def sin(self) -> "Jet":
-        return self._sincos(np.sin(self.value), lambda u0: np.cos(u0))
+        return self._sincos(np.sin(self.value), np.cos)
 
     def cos(self) -> "Jet":
         return self._sincos(np.cos(self.value), lambda u0: -np.sin(u0))

@@ -2,12 +2,13 @@
 
 The full operator P = u.grad_xi + v.grad_x + w satisfies tP e^{i phi} =
 e^{i phi} and trades one phase order per application: P maps SG^(m,mu) into
-SG^(m-n, mu-nu).  P = chi + (1 - chi)(...) is the identity on chi's plateau
-|(x, xi)| <= R, where chi = 1 and u = v = 0, so P^r(a f) = a f there and
-apply_P_r builds the components and applies P only off the plateau.  The xi-only operator Q and the (x,p)-dependent operator Qp
-regularize on cone supports where |grad_xi phi|^2 (resp. |grad_x phi - p|^2)
-stays elliptic.  Components are exact jet expressions; the adjoint identities
-are verified numerically, never formed symbolically.
+SG^(m-n, mu-nu).  On chi's plateau |(x, xi)| <= R, chi = 1, u = v = 0 and
+w = 1, so P is the identity there and P^r(a f) = a f; apply_P_r builds the
+components and applies P only off the plateau.  The xi-only operator Q and
+the (x,p)-dependent operator Qp regularize on cone supports where
+|grad_xi phi|^2 (resp. |grad_x phi - p|^2) stays elliptic.  Components are
+exact jet expressions; the adjoint identities are verified numerically, never
+formed symbolically.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def apply_P_r(P: RegularizerP, a: SymbolFn, f=None, r: int = 1) -> SymbolFn:
         # a wider batch, so a part of one column is not split off
         if min(np.count_nonzero(off), np.count_nonzero(~off)) == 1:
             off[:] = True
-        sp = jet_space(len(xj) + len(kj), order)
+        sp = jet_space(phi.d + phi.s, order)
         # the zeros start the plateau's sum as P's products do, so -0.0 reads +0.0
         c = np.zeros((sp.ncoef, off.size), complex)
         if not np.all(off):

@@ -215,14 +215,14 @@ def test_all_three_adjoint_identities_on_random_points():
 def _plateau_cases():
     phi = sep_power_phase(1, 1)
     check_admissible(phi)
-    yield build_P(phi), gaussian_amplitude(1, 1), SchwartzFn.gaussian(1)
+    P = build_P(phi)
+    yield P, gaussian_amplitude(1, 1), SchwartzFn.gaussian(1)
     spec = KgSpec(1.0, 1)
     phi = spec.phase()
     check_admissible(phi)
     yield build_P(phi), spec.truncated_amplitude(6.0), SchwartzFn.gaussian(2)
     # no f, and an amplitude whose vanishing derivatives at x = 0 read -0.0
-    phi = sep_power_phase(1, 1)
-    yield build_P(phi), -gaussian_amplitude(1, 1), None
+    yield P, -gaussian_amplitude(1, 1), None
 
 
 def _mixed_batch(P, seed=7):
