@@ -233,7 +233,7 @@ def _mixed_batch(P, seed=7):
     dirs = rng.normal(size=(d + s, 9))
     dirs /= np.linalg.norm(dirs, axis=0)
     rad = np.concatenate(
-        [[0.0, 0.4 * P.R, P.R], P.R + np.array([0.2, 0.5, 0.9]), P.R + np.array([1.5, 4.0, 9.0])]
+        [[0.0, 0.4 * P.R, 0.999 * P.R], P.R + np.array([0.2, 0.5, 0.9, 1.5, 4.0, 9.0])]
     )
     X = dirs * rad
     X[0, 1] = -0.0
