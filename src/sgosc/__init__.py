@@ -8,7 +8,6 @@ from .compactify import (
     ball_distance,
     contains,
     japanese_bracket,
-    make_asymptotic_cutoff,
     pair_distance,
     project,
     sphere_grid,

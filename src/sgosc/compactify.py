@@ -1,8 +1,9 @@
 """Radial (directional) compactification of R^k.
 
 Identifies R^k with the open unit ball via x -> x/<x> and adjoins the sphere
-of asymptotic directions.  Provides the compactified point type, asymptotic
-cut-offs, boundary neighborhoods, the ball metric, and the deterministic
+of asymptotic directions.  Provides the compactified point type, the
+package's one C-infinity step and the bump profile and cut-offs built on it,
+boundary neighborhoods, the ball metric, and the deterministic
 sphere/direction sampling used by every boundary scan in the package.
 """
 
@@ -140,20 +141,27 @@ def pair_distance(a, b) -> float:
     return max(ball_distance(x, y) for x, y in zip(a, b))
 
 
-# -- the pinned bump profile ---------------------------------------------
+# -- the C-infinity step and the bump profile ---------------------------
+
+
+def smooth_transition(s) -> np.ndarray:
+    """C-infinity monotone step: 0 for s <= 0, 1 for s >= 1."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    out[s >= 1.0] = 1.0
+    mid = (s > 0.0) & (s < 1.0)
+    if np.any(mid):
+        sm = s[mid]
+        a = np.exp(-1.0 / sm)
+        b = np.exp(-1.0 / (1.0 - sm))
+        out[mid] = a / (a + b)
+    return out
 
 
 def bump_profile(t) -> np.ndarray:
-    """Radial bump: 1 for t <= 1/2, exp(1 - 1/(1-(2t-1)^2)) for 1/2 < t < 1,
-    0 for t >= 1.  The fixed profile keeps every construction reproducible."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t <= 0.5] = 1.0
-    mid = (t > 0.5) & (t < 1.0)
-    if np.any(mid):
-        s = 2.0 * t[mid] - 1.0
-        out[mid] = np.exp(1.0 - 1.0 / (1.0 - s * s))
-    return out
+    """Radial C-infinity bump: 1 for t <= 1/2, 0 for t >= 1, the step
+    smooth_transition(2(1 - t)) between."""
+    return smooth_transition(2.0 * (1.0 - np.asarray(t, dtype=float)))
 
 
 def bump_profile_jet(tj: Jet) -> Jet:
@@ -161,8 +169,10 @@ def bump_profile_jet(tj: Jet) -> Jet:
     t0 = tj.value
 
     def build(mid):
-        s = 2.0 * tj.columns(mid) - 1.0
-        return (1.0 - (1.0 - s * s).recip()).exp()
+        u = 2.0 * (1.0 - tj.columns(mid))
+        a = (-u.recip()).exp()
+        b = (-(1.0 - u).recip()).exp()
+        return a * (a + b).recip()
 
     return Jet.piecewise(tj.space, (t0 > 0.5) & (t0 < 1.0), build, one=t0 <= 0.5)
 
@@ -249,10 +259,6 @@ class AsymptoticCutoff:
             return (1.0 - bump) * self.sphere_fn.jet([v * rinv for v in sub])
 
         return Jet.piecewise(xj[0].space, radius(xj) > 0.5 * self.radius, build)
-
-
-def make_asymptotic_cutoff(sphere_fn: SphereFn, radius: float, dim: int) -> AsymptoticCutoff:
-    return AsymptoticCutoff(sphere_fn=sphere_fn, radius=radius, dim=dim)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .windows import bump_ft, flat_bump
+from .compactify import bump_profile
+from .windows import bump_ft
 from .wavefront import EvaluableDistribution
 
 
@@ -180,7 +181,7 @@ def make_classical_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> Evalu
         for x, etav, ks in assigns:
             for k in ks:
                 r = np.linalg.norm(k * (X - x[:, None]), axis=0)
-                bump = flat_bump(r) / z0
+                bump = bump_profile(r) / z0
                 acc += (
                     k ** (-2.0)
                     * bump

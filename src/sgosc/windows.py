@@ -2,8 +2,8 @@
 
 The Fourier-side scans need windows whose own transforms decay faster than
 any polynomial (otherwise the window caps the measurable decay exponent), so
-this module provides C-infinity transitions and gaussian/log-radial windows.
-The reproducibility-pinned bump of compactify stays in use for SG cutoffs.
+this module provides C-infinity tapers and gaussian/log-radial windows, all
+built on compactify's one C-infinity step.
 """
 
 from __future__ import annotations
@@ -14,25 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0
 
-
-def smooth_transition(s) -> np.ndarray:
-    """C-infinity monotone step: 0 for s <= 0, 1 for s >= 1."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s >= 1.0] = 1.0
-    mid = (s > 0.0) & (s < 1.0)
-    if np.any(mid):
-        sm = s[mid]
-        a = np.exp(-1.0 / sm)
-        b = np.exp(-1.0 / (1.0 - sm))
-        out[mid] = a / (a + b)
-    return out
-
-
-def flat_bump(t) -> np.ndarray:
-    """C-infinity bump: 1 for |t| <= 1/2, 0 for |t| >= 1."""
-    t = np.abs(np.asarray(t, dtype=float))
-    return smooth_transition(2.0 * (1.0 - t))
+from .compactify import bump_profile, smooth_transition
 
 
 def edge_taper(X: np.ndarray, L: float, start: float = 0.75) -> np.ndarray:
@@ -83,16 +65,16 @@ def logradial_window(cone: tuple, r: float, tau: float) -> np.ndarray:
     return out
 
 
-# -- Fourier transform of the pinned bump ------------------------------------------
+# -- Fourier transform of the bump ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _bump_quad_nodes(n: int = 4000):
     t, w = np.polynomial.legendre.leggauss(n)
     r = 0.5 * (t + 1.0)
-    # the flat (all-orders smooth) profile: its transform decays faster than
+    # the profile is smooth to all orders, so its transform decays faster than
     # any polynomial, which the prescribed-wave-front series requires
-    return r, 0.5 * w, flat_bump(r)
+    return r, 0.5 * w, bump_profile(r)
 
 
 def _in_blocks(rows, rz, block: int = 256) -> np.ndarray:
@@ -106,7 +88,7 @@ def _in_blocks(rows, rz, block: int = 256) -> np.ndarray:
 
 
 def bump_ft(dim: int):
-    """Evaluator of the Fourier transform of the normalized radial flat bump
+    """Evaluator of the Fourier transform of the normalized radial bump
     (normalized so the transform equals 1 at 0); supports dim in {1, 2}."""
     r, w, b = _bump_quad_nodes()
     if dim == 1:

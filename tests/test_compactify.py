@@ -12,13 +12,14 @@ from sgosc.compactify import (
     SphereCoordinate,
     ball_distance,
     bump_profile,
+    bump_profile_jet,
     contains,
     direction_ball,
     japanese_bracket,
-    make_asymptotic_cutoff,
     project,
     sphere_grid,
 )
+from sgosc.jets import jet_variables
 from sgosc.symbols import seminorm_estimate, symbol_from_cutoff
 
 
@@ -47,17 +48,17 @@ def test_project_monotone_along_rays():
 
 def test_asymptotic_cutoff_examples():
     # psi == 1: vanishes at 0, equals 1 for |x| >= R
-    cut = make_asymptotic_cutoff(SphereConstant(1.0), radius=1.0, dim=1)
+    cut = AsymptoticCutoff(SphereConstant(1.0), radius=1.0, dim=1)
     assert cut.value(np.array([[0.0]]))[0] == 0.0
     assert abs(cut.value(np.array([[10.0]]))[0] - 1.0) < 1e-14
     # psi(theta) = theta_1, R = 2, x = (4, 0)
-    cut2 = make_asymptotic_cutoff(SphereCoordinate(0), radius=2.0, dim=2)
+    cut2 = AsymptoticCutoff(SphereCoordinate(0), radius=2.0, dim=2)
     v = cut2.value(np.array([[4.0], [0.0]]))[0]
     assert abs(v - 1.0) < 1e-14
 
 
 def test_cutoff_vanishes_identically_inside_half_radius():
-    cut = make_asymptotic_cutoff(SphereConstant(1.0), radius=3.0, dim=2)
+    cut = AsymptoticCutoff(SphereConstant(1.0), radius=3.0, dim=2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.06, 1.06, size=(2, 200))  # |x| <= 1.5 = R/2
     pts = pts[:, np.linalg.norm(pts, axis=0) <= 1.5]
@@ -65,7 +66,7 @@ def test_cutoff_vanishes_identically_inside_half_radius():
 
 
 def test_cutoff_is_sg_order_zero_by_seminorms():
-    cut = make_asymptotic_cutoff(SphereCoordinate(0), radius=2.0, dim=2)
+    cut = AsymptoticCutoff(SphereCoordinate(0), radius=2.0, dim=2)
     sym = symbol_from_cutoff(cut)
     rep = seminorm_estimate(sym, (0.0, 0.0), max_order=3)
     assert np.isfinite(rep.max_value)
@@ -93,11 +94,31 @@ def test_compact_point_serialization_and_norm_policy():
 
 
 def test_bump_profile_pinned_values():
+    """The step smooth_transition(2(1 - t)): 1 up to t = 1/2, 0 from t = 1,
+    exactly 1/2 at t = 3/4 and odd about that point."""
     assert bump_profile(0.25) == 1.0
     assert bump_profile(1.1) == 0.0
-    t = 0.75
-    s = 2 * t - 1
-    assert bump_profile(t) == pytest.approx(np.exp(1 - 1 / (1 - s * s)))
+    assert bump_profile(0.75) == 0.5
+    t = np.linspace(0.4, 1.1, 7001)
+    assert np.max(np.abs(bump_profile(t) + bump_profile(1.5 - t) - 1.0)) <= 2.0**-52
+
+
+@pytest.mark.parametrize("t0", [0.5 - 1e-3, 0.5 + 1e-3])
+def test_bump_profile_jet_is_flat_at_the_plateau_edge(t0):
+    """C-infinity at t = 1/2: on either side the Taylor coefficients 1 to 4
+    vanish (a C^1 profile's second coefficient would read about -4)."""
+    j = bump_profile_jet(jet_variables(4, np.array([[t0]]))[0])
+    assert j.value[0] == pytest.approx(1.0)
+    assert np.all(np.abs(j.c[1:, 0]) < 1e-9), j.c[:, 0]
+
+
+def test_bump_profile_jet_is_finite_where_the_step_underflows():
+    """Next to t = 1/2 and t = 1 one of the step's two exponentials
+    underflows to 0; the order-8 jet stays finite there."""
+    t = np.array([[np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]])
+    j = bump_profile_jet(jet_variables(8, t)[0])
+    assert np.all(np.isfinite(j.c))
+    assert j.value == pytest.approx([1.0, 0.0])
 
 
 def test_sphere_grids_are_unit_and_sized():

@@ -4,8 +4,10 @@ profile, the gradient symbols, the Q step and the V regularizer."""
 
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from sgosc.catalog import KgSpec, gaussian_amplitude, sep_power_phase
 from sgosc.compactify import (
@@ -15,9 +17,10 @@ from sgosc.compactify import (
     SphereCoordinate,
     SphereGaussian,
     bump_profile_jet,
+    smoothstep_jet,
 )
 from sgosc.fio import VRegularizer
-from sgosc.jets import jet_variables
+from sgosc.jets import jet_variables, norm2_jet
 from sgosc.phase import (
     PhaseFn,
     eta_symbol,
@@ -94,20 +97,66 @@ def _cutoff_jets():
 
 
 PINNED = {
-    "component_jets": "a54de8ff27271eb181840fc23fbac1148818233cff965948347099413ca51ca4",
-    "chi_jet": "3ab3e72e979a1f919ee29d3e66a7856efd19d4ae2207cdb544539b2b6ca5ac03",
+    "component_jets": "51fba00b4676c7e79977abbcc2c39aac05e1a94d80aff5e4b56599e362770c99",
+    "chi_jet": "8a8ff59dee2115af03f1b493533aa741d0dc11d732d0cdf14d2b44962a18f7cb",
     "gradient_symbols": "e0789733f73f6be65e365679c15012b40d2c84b18a525a9442428c1295eddb40",
     "q_step": "b514b1589f40d32d0d5f5d002010c490a85821d890b1446956ccbf6d04f71bfd",
     "V": "e72be8cd4123d36c2809a4fcc6b3e768593b803f53c2241a8dbac66da361b2f4",
-    "spatial_cutoff": "a609ac9077787f7f53e8654ff1fa1136fef18c806110027c3a9c880e955c3d0d",
-    "asymptotic_cutoff": "281ef8e9ebc5da2c78ce22f814f8d1087442603cdac30d48b06fe4bbc6b7fe70",
-    "bump_profile_jet": "8defe4b04c36be5de92880fd1c7a77fbfe978515897a65c21031732b8d8065a8",
+    "spatial_cutoff": "3b298938224202a1399ba0facf5f5d2e3d6fed06a8be932a760d71723a990aeb",
+    "asymptotic_cutoff": "bed050dec80e66ce07685b4205de489ad4272505c845588aa59317a176bbba06",
+    "bump_profile_jet": "6d88748e8e7fbb3a093f5e832637b093250227a9f43fa10bb7f98c046f37d23f",
 }
 
 
 def test_derived_jets_pinned():
     got = {k: _digest(js) for k, js in {**_phase_jets(), **_cutoff_jets()}.items()}
     assert got == PINNED
+
+
+def _sympy_step(t):
+    """The bump profile's middle branch, written as 1 / (1 + b/a) with
+    u = 2(1 - t), a = e^{-1/u} and b = e^{-1/(1-u)}."""
+    u = 2 * (1 - t)
+    return 1 / (1 + sp.exp(1 / u - 1 / (1 - u)))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, pts",
+    [
+        # bump_profile_jet: |(x, y)| in (1/2, 3/4) and in (3/4, 1)
+        (None, None, [[0.5, 0.375, 0.625, 0.75], [0.25, 0.5, 0.5, 0.5]]),
+        # smoothstep_jet on [2, 3]: |(x, y)| in (2, 5/2) and in (5/2, 3)
+        (2, 3, [[1.5, 1.75, 2.25, 2.5], [1.5, 1.25, 1.25, 1.25]]),
+    ],
+)
+def test_step_jets_match_sympy_at_order_4(lo, hi, pts):
+    """The step's jets of the radius sqrt(x^2 + y^2), every partial to order
+    4, against sympy's exact derivatives at 30 digits, at dyadic points on
+    both halves of the step."""
+    xs, ys = sp.symbols("x y")
+    pts = np.array(pts)
+    rsym = sp.sqrt(xs**2 + ys**2)
+    r = norm2_jet(jet_variables(4, pts)).sqrt()
+    if lo is None:
+        jet, t, expr = bump_profile_jet(r), r.value, _sympy_step(rsym)
+    else:
+        jet = smoothstep_jet(r, lo, hi)
+        t = 0.5 + 0.5 * (r.value - lo) / (hi - lo)
+        expr = _sympy_step(sp.Rational(1, 2) + (rsym - lo) / (2 * (hi - lo)))
+    u = 2.0 * (1.0 - t)
+    assert np.any(u < 0.5) and np.any(u > 0.5) and np.all((u > 0) & (u < 1))
+    # each partial from the one before it, one derivative at a time
+    diffs = {(0, 0): expr}
+    for gamma in jet.space.indices:
+        if sum(gamma):
+            i, j = gamma
+            diffs[gamma] = sp.diff(diffs[(i - 1, j)], xs) if i else sp.diff(diffs[(0, j - 1)], ys)
+    evaluate = sp.lambdify((xs, ys), list(diffs.values()), "mpmath", cse=True)
+    with mpmath.workdps(30):
+        want = np.array([[float(v) for v in evaluate(mpmath.mpf(px), mpmath.mpf(py))] for px, py in pts.T])
+    for gamma, w in zip(diffs, want.T):
+        got = jet.partial(gamma)
+        assert np.all(np.abs(got - w) <= 1e-12 * np.abs(w)), (gamma, got, w)
 
 
 def test_phase_is_a_symbol():

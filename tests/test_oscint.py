@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hankel2, k0
 
-from sgosc.catalog import gaussian_amplitude, sep_power_phase
+from sgosc.catalog import KgSpec, gaussian_amplitude, sep_power_phase
 from sgosc.oscint import (
     MAX_NODES_PER_CALL,
     IntegrabilityError,
@@ -131,6 +132,39 @@ def test_eval_pointwise_oracle_and_q_independence(bracket_phase, gauss_pair):
     v2 = eval_pointwise(I, 1.0, k=2)
     assert abs(v0 - v2) <= 1e-7 * (1 + abs(v0))
     assert abs(eval_pointwise(I, 0.0, k=0) - eval_pointwise(I, 0.0, k=2)) < 1e-7
+
+
+KG11_POINTS = [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (2.0, 0.5)]
+
+
+def _kg11_two_point(x0, x1, mass=1.0):
+    """The 1+1 Klein-Gordon two-point function in closed form: (i/2pi)
+    K0(m sqrt(x1^2 - x0^2)) for spacelike x, H0^(2)(m sqrt(x0^2 - x1^2)) / 4
+    for timelike x with x0 > 0."""
+    if x1 * x1 > x0 * x0:
+        return 1j / (2.0 * np.pi) * k0(mass * np.sqrt(x1 * x1 - x0 * x0))
+    return hankel2(0, mass * np.sqrt(x0 * x0 - x1 * x1)) / 4.0
+
+
+@pytest.mark.parametrize("k, bound", [(3, 3e-7), (4, 2e-8)])
+def test_eval_pointwise_kg11_matches_bessel(k, bound):
+    """eval_pointwise of the kg11 two-point function, regularized by Q^k
+    beyond a C-infinity inner cutoff, against its Bessel closed forms."""
+    spec = KgSpec(1.0, 1)
+    I = make_osc_integral(spec.phase(), spec.amplitude(), r="auto")
+    for x in KG11_POINTS:
+        assert abs(eval_pointwise(I, x, k=k, xi_box=56.0) - _kg11_two_point(*x)) < bound, x
+
+
+def test_eval_pointwise_q_independence_on_kg11_trunc():
+    """The truncated amplitude decays fast enough for k = 0, and Q^k for
+    k = 1 to 4 changes nothing but rounding."""
+    spec = KgSpec(1.0, 1)
+    I = make_osc_integral(spec.phase(), spec.truncated_amplitude(6.0), r="auto")
+    for x in KG11_POINTS:
+        v0 = eval_pointwise(I, x, k=0, xi_box=40.0)
+        for k in (1, 2, 3, 4):
+            assert abs(eval_pointwise(I, x, k=k, xi_box=40.0) - v0) < 1e-12, (x, k)
 
 
 def test_pointwise_zero_amplitude(bracket_phase):

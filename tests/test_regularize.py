@@ -99,6 +99,18 @@ def test_apply_P_is_plateau_identity(bracket_P):
     assert out.value(np.zeros((1, 1)), np.zeros((1, 1)))[0] == pytest.approx(1.0)
 
 
+def test_chi_jet_is_flat_at_R(kg_P):
+    """chi is C-infinity across its plateau edge |(x, xi)| = R: on either
+    side every Taylor coefficient of degree 1 to 4 vanishes."""
+    dirs = np.random.default_rng(5).normal(size=(3, 4))
+    dirs /= np.linalg.norm(dirs, axis=0)
+    for t in (kg_P.R - 1e-3, kg_P.R + 1e-3):
+        XK = t * dirs
+        chi = kg_P.chi_jet(jet_variables(4, XK[:2], XK[2:]))
+        assert chi.value == pytest.approx(1.0)
+        assert np.all(np.abs(chi.c[1:]) < 1e-9), (t, np.max(np.abs(chi.c[1:])))
+
+
 def test_order_descent_under_P(bracket_P):
     a = constant_symbol(1, 1, 1.0).with_order((0.0, 0.0))
     for r in (1, 2):
