@@ -95,7 +95,7 @@ def test_compact_point_serialization_and_norm_policy():
 
 def test_bump_profile_pinned_values():
     """The step smooth_transition(2(1 - t)): 1 up to t = 1/2, 0 from t = 1,
-    exactly 1/2 at t = 3/4 and odd about that point."""
+    exactly 1/2 at t = 3/4, and bump - 1/2 is odd about t = 3/4."""
     assert bump_profile(0.25) == 1.0
     assert bump_profile(1.1) == 0.0
     assert bump_profile(0.75) == 0.5

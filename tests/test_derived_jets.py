@@ -1,6 +1,7 @@
 """Bitwise pins of the jets derived from a phase: the regularizer P's
 components and cut-off, the spatial and asymptotic cut-offs, the bump
-profile, the gradient symbols, the Q step and the V regularizer."""
+profile, the gradient symbols, the Q step and the V regularizer; and the
+bump step's jets against sympy."""
 
 import hashlib
 
