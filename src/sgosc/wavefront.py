@@ -22,7 +22,14 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .compactify import CompactPoint, as_points, ball_distance, pair_distance, sphere_grid
-from .windows import cone_aperture, cone_geometry, edge_taper, gaussian_window, logradial_window
+from .windows import (
+    cone_aperture,
+    cone_geometry,
+    edge_taper,
+    gaussian_window,
+    logradial_window,
+    radial_geometry,
+)
 
 INF = math.inf
 
@@ -105,6 +112,14 @@ def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> Ev
 # -- protocol ------------------------------------------------------------------
 
 
+def _is_point(v, dim: int) -> bool:
+    """v is a sequence of dim finite reals."""
+    try:
+        return len(v) == dim and all(isinstance(c, numbers.Real) and math.isfinite(c) for c in v)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class WfProtocol:
     """Recorded parameters of a wave front scan."""
@@ -152,13 +167,19 @@ class WfProtocol:
                 f"WfProtocol.rho_lo {self.rho_lo!r} is not below the probe top "
                 f"rho_max_frac * nyquist = {top:.6g}"
             )
+        for name in ("x_dirs", "q_dirs", "classical_centers"):
+            for v in getattr(self, name):
+                if not _is_point(v, self.dim) or (name != "classical_centers" and not any(v)):
+                    what = "point" if name == "classical_centers" else "nonzero direction"
+                    raise ValueError(
+                        f"WfProtocol.{name} entry {v!r} is not a finite {what} of "
+                        f"length dim = {self.dim}"
+                    )
         # a covariable off the lattice would read the clipped edge frequency
         freqs = self.frequency_lattice()
         lo, hi = freqs[0], freqs[-1]
         for q in self.finite_q:
-            if len(q) != self.dim or not all(
-                isinstance(c, numbers.Real) and lo <= c <= hi for c in q
-            ):
+            if not (_is_point(q, self.dim) and all(lo <= c <= hi for c in q)):
                 raise ValueError(
                     f"WfProtocol.finite_q point {q!r} is not a point of the frequency "
                     f"lattice's range [{lo:.6g}, {hi:.6g}]^{self.dim}"
@@ -241,39 +262,51 @@ class WfProtocol:
 # -- decay exponent fitting -------------------------------------------------------
 
 
-def fit_decay_exponent(scales: np.ndarray, stats: np.ndarray, floor_abs: float) -> float:
-    """Fitted N in stats ~ scale^-N over octave maxima.
+def fit_decay_exponent(scales: np.ndarray, stats: np.ndarray, floor_abs: float):
+    """Fitted N in stats ~ scale^-N over octave maxima, per row of stats:
+    a float for stats (K,), an array (P,) for a stack (P, K) over the same
+    scales (K,).
 
     Returns +inf (certified rapid decay over the probed range) when the
     response has died below the measurement floor and stayed there for the
     last two octaves.  Otherwise the exponent is fitted on the upper half of
     the probed range, so that content bumps at moderate scales (window
-    leakage) cannot masquerade as slow tail decay."""
+    leakage) cannot masquerade as slow tail decay; NaN when fewer than two
+    octaves are live.  The slope is the centred least-squares closed form
+    over the fitted octaves.  Non-finite stats are refused: NaN > floor is
+    False, so they would read as a certified rapid decay."""
     scales = np.asarray(scales, dtype=float)
     stats = np.asarray(stats, dtype=float)
-    if len(scales) == 0:
-        return INF
-    live = stats > floor_abs
-    if not np.any(live):
-        return INF
-    needed = 2 if len(live) >= 5 else 1
-    if len(live) > needed and not np.any(live[len(live) - needed :]):
-        return INF
-    half = len(scales) // 2
-    sel = live.copy()
-    sel[:half] = False
-    if np.count_nonzero(sel) < 2:
-        sel = live
-    if np.count_nonzero(sel) < 2:
-        # a live response but no measurable range: undecidable at this grid
-        return float("nan")
-    sl = np.polyfit(np.log(scales[sel]), np.log(stats[sel]), 1)[0]
-    return float(-sl)
+    if not np.all(np.isfinite(stats)):
+        i = tuple(int(k) for k in np.argwhere(~np.isfinite(stats))[0])
+        raise ValueError(f"fit_decay_exponent: non-finite stat {stats[i]} at index {i}")
+    rows = np.atleast_2d(stats)
+    K = len(scales)
+    live = rows > floor_abs
+    needed = 2 if K >= 5 else 1
+    dead = ~np.any(live, axis=-1)
+    if K > needed:
+        dead |= ~np.any(live[:, K - needed :], axis=-1)
+    upper = live & (np.arange(K) >= K // 2)
+    sel = np.where(np.count_nonzero(upper, axis=-1)[:, None] >= 2, upper, live)
+    n = np.count_nonzero(sel, axis=-1)
+    x = np.log(scales)
+    y = np.log(rows, out=np.zeros(rows.shape), where=sel)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx = np.where(sel, x - np.sum(sel * x, axis=-1, keepdims=True) / n[:, None], 0.0)
+        dy = y - np.sum(y, axis=-1, keepdims=True) / n[:, None]
+        N = -np.sum(dx * dy, axis=-1) / np.sum(dx * dx, axis=-1)
+    # a live response but no measurable range: undecidable at this grid
+    N[n < 2] = np.nan
+    N[dead] = INF
+    return float(N[0]) if stats.ndim == 1 else N
 
 
 def octave_maxima(scales: np.ndarray, values: np.ndarray, lo: float) -> tuple:
     """Per-octave maxima of values over geometric scale bins [lo 2^j,
-    lo 2^(j+1)) from lo; empty bins are skipped.
+    lo 2^(j+1)) from lo; empty bins are skipped.  values is one profile
+    (n,) over the scales (n,), or a stack (P, n) of profiles over the same
+    scales, which gives maxima (P, bins), each row equal to its own call.
 
     A trailing bin that the scales cover for less than 45% of its octave (in
     log measure) is dropped: a partially sampled octave underestimates the
@@ -287,13 +320,14 @@ def octave_maxima(scales: np.ndarray, values: np.ndarray, lo: float) -> tuple:
     starts = np.searchsorted(scales[order], edges)
     bins = np.flatnonzero(starts[1:] > starts[:-1])
     if not bins.size:
-        return np.empty(0), np.empty(0)
+        return np.empty(0), np.empty(values.shape[:-1] + (0,))
     # bins in between are empty, so each segment ends at its bin's upper edge
-    maxes = np.maximum.reduceat(values[order][: starts[-1]], starts[bins])
+    sorted_vals = values[..., order][..., : starts[-1]]
+    maxes = np.maximum.reduceat(sorted_vals, starts[bins], axis=-1)
     keep = np.ones(bins.size, dtype=bool)
     for i in np.flatnonzero(smax < edges[bins + 1]):
         keep[i] = not math.log(max(smax / edges[bins[i]], 1.0)) / math.log(2.0) < 0.45
-    return np.sqrt(edges[bins[keep]] * edges[bins[keep] + 1]), maxes[keep]
+    return np.sqrt(edges[bins[keep]] * edges[bins[keep] + 1]), maxes[..., keep]
 
 
 def _collapse_or_max(Ns, amps, protocol, floor_abs) -> float:
@@ -401,7 +435,15 @@ class _FourierContext:
         axes = [(-L + (np.arange(n) + 0.5) * protocol.dx) for _ in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         self.X = np.stack([m.ravel() for m in mesh])
-        self.uvals = u.values(self.X) * edge_taper(self.X, L)
+        vals = u.values(self.X)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            x = tuple(float(c) for c in self.X[:, bad[0]])
+            raise ValueError(
+                f"{u.source or 'distribution'} is not finite on the scan grid: "
+                f"{vals[bad[0]]} at x = {x}, the first of {bad.size} of {vals.size} grid points"
+            )
+        self.uvals = vals * edge_taper(self.X, L)
         self.u_scale = float(np.max(np.abs(self.uvals))) + 1e-300
         self._shape = (n,) * d
         freqs = protocol.frequency_lattice()
@@ -418,10 +460,14 @@ class _FourierContext:
 
     def windowed_abs(self, wvals: np.ndarray) -> np.ndarray:
         """|F[w u]| at the probes, interpolated on the frequency lattice and
-        normalized by the window mass: one value per probe."""
+        normalized by the window mass: one value per probe.
+
+        The window values must be nonnegative, as every window of the scan
+        (a product of gaussians) is: the mass is their plain sum, which then
+        equals the sum of their absolute values bit for bit."""
         d = self.protocol.dim
         dx = self.protocol.dx
-        mass = float(np.sum(np.abs(wvals))) * dx**d + 1e-300
+        mass = float(np.sum(wvals)) * dx**d + 1e-300
         wu = (wvals * self.uvals).reshape(self._shape)
         if d == 1:
             W = np.fft.fft(wu)
@@ -455,14 +501,14 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
     def cell(y, q, kind, families, scales, lo):
         """Decide one cell from its window families, each an (amplitude,
         profiles) pair: fit every profile's octave maxima over scales from
-        lo, then let a family collapse override the largest fit."""
-        Ns = [
-            fit_decay_exponent(*octave_maxima(scales, prof, lo), floor_abs)
-            for _, profiles in families
-            for prof in profiles
-        ]
+        lo, all profiles in one stack, then let a family collapse override
+        the largest fit."""
+        profiles = [prof for _, profs in families for prof in profs]
         amps = [float(amp) for amp, _ in families]
-        N = _collapse_or_max(Ns, amps, p, floor_abs) if Ns else INF
+        N = INF
+        if profiles:
+            Ns = fit_decay_exponent(*octave_maxima(scales, np.stack(profiles), lo), floor_abs)
+            N = _collapse_or_max(Ns.tolist(), amps, p, floor_abs)
         cells.append(WfCell(y, q, _label(N, p), N, kind))
 
     # classical windows: a cell is regular as soon as one tested window
@@ -489,8 +535,9 @@ def wf_scan(u: EvaluableDistribution, protocol: WfProtocol) -> WfSet:
         (0.5 * p.tau_radial, 0.5 * p.alpha_angular),
         (0.25 * p.tau_radial, 0.25 * p.alpha_angular),
     )
+    radial = radial_geometry(ctx.X)
     for wd in p.x_dirs:
-        geom = cone_geometry(ctx.X, wd)
+        geom = cone_geometry(radial, wd)
         # per shape, the magnitudes (window radius, probe)
         fam = []
         for tau, alpha in shapes:

@@ -32,37 +32,42 @@ def gaussian_window(X: np.ndarray, center, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * d2 / sigma**2)
 
 
-def cone_geometry(X: np.ndarray, omega) -> tuple:
-    """(live, log_r, angle) of the grid points X for the cone windows around
-    the direction omega: the mask of points off the origin, their log|x| and
-    their angle to omega.  It depends on the direction only, so every window
-    radius and shape of that direction shares it."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    w = w / np.linalg.norm(w)
+def radial_geometry(X: np.ndarray) -> tuple:
+    """(X, r, live, log_r) of the grid points X for the cone windows: |x|,
+    the mask of points off the origin and log|x|, which is -inf at the
+    origin.  They depend on the grid only, so a scan computes them once and
+    every direction shares them."""
     rr = np.linalg.norm(X, axis=0)
     live = rr > 1e-12
-    rl = rr[live]
-    cosang = np.clip(np.tensordot(w, X[:, live], axes=(0, 0)) / rl, -1.0, 1.0)
-    return live, np.log(rl), np.arccos(cosang)
+    return X, rr, live, np.log(rr, out=np.full(rr.shape, -np.inf), where=live)
+
+
+def cone_geometry(radial: tuple, omega) -> tuple:
+    """(log_r, angle) of the cone windows around the direction omega on a
+    `radial_geometry`: log|x| and the angle of x to omega, 0 at the origin.
+    It depends on the direction only, so every window radius and shape of
+    that direction shares it."""
+    X, rr, live, log_r = radial
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    w = w / np.linalg.norm(w)
+    cosang = np.divide(np.tensordot(w, X, axes=(0, 0)), rr, out=np.ones(rr.shape), where=live)
+    return log_r, np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def cone_aperture(geom: tuple, alpha: float) -> tuple:
-    """(live, log_r, angular) of the cone windows of aperture alpha on a
+    """(log_r, angular) of the cone windows of aperture alpha on a
     `cone_geometry`: the angular gaussian around the direction is the same
     for every window radius, so it is computed once per aperture."""
-    live, log_r, ang = geom
-    return live, log_r, np.exp(-0.5 * (ang / alpha) ** 2)
+    log_r, ang = geom
+    return log_r, np.exp(-0.5 * (ang / alpha) ** 2)
 
 
 def logradial_window(cone: tuple, r: float, tau: float) -> np.ndarray:
     """Cone window on a `cone_aperture`: gaussian in log|x| around log r
     times the cone's angular gaussian.  Vanishes to all orders at the
-    origin."""
-    live, log_r, angular = cone
-    out = np.zeros(live.shape)
-    rad = np.exp(-0.5 * ((log_r - math.log(r)) / tau) ** 2)
-    out[live] = rad * angular
-    return out
+    origin, where log|x| = -inf gives exactly 0.0."""
+    log_r, angular = cone
+    return np.exp(-0.5 * ((log_r - math.log(r)) / tau) ** 2) * angular
 
 
 # -- Fourier transform of the bump ------------------------------------------------

@@ -220,6 +220,7 @@ def test_wf_protocol_default_lattices(dim):
         {"rho_lo": 40.0},  # the probe top is 0.7 * nyquist = 35.2
         {"finite_q": [[100.0]]},
         {"finite_q": [["a"]]},
+        {"classical_centers": [[0, 0]]},  # a 2-D centre for the 1-D g-train
     ],
 )
 def test_wf_scan_bad_protocol_exits_2(tmp_path, capsys, bad):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from sgosc.wavefront import (
     pairing_predicate,
     wf_scan,
 )
-from sgosc.windows import cone_aperture, cone_geometry, gaussian_window, logradial_window
+from sgosc.windows import (
+    cone_aperture,
+    cone_geometry,
+    gaussian_window,
+    logradial_window,
+    radial_geometry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +237,107 @@ def test_fit_decay_exponent_rules():
     assert fit_decay_exponent(scales, np.full(6, 1e-14), 1e-10) == math.inf
 
 
+def _fit_reference(scales, stats, floor_abs):
+    """The one-profile decay fit with the SVD-based `np.polyfit` slope."""
+    live = stats > floor_abs
+    if len(scales) == 0 or not np.any(live):
+        return math.inf
+    needed = 2 if len(live) >= 5 else 1
+    if len(live) > needed and not np.any(live[len(live) - needed :]):
+        return math.inf
+    sel = live.copy()
+    sel[: len(scales) // 2] = False
+    if np.count_nonzero(sel) < 2:
+        sel = live
+    if np.count_nonzero(sel) < 2:
+        return math.nan
+    return -np.polyfit(np.log(scales[sel]), np.log(stats[sel]), 1)[0]
+
+
+def test_fit_decay_exponent_batched_rules():
+    """A stack of profiles gets the one-profile rules row by row: a dead
+    tail (the last two octaves, the last one when K < 5) gives inf, fewer
+    than 2 live octaves NaN, fewer than 2 live in the upper half the fit over
+    every live octave; the closed-form slope agrees with polyfit's."""
+    floor = 1e-10
+    scales = np.geomspace(1.0, 32.0, 6)
+    lo, hi = 1e-12, 1.0
+    rows = np.array(
+        [
+            [hi, hi, hi, hi, lo, lo],  # dead tail
+            [lo] * 6,  # all dead
+            [lo, lo, lo, lo, lo, hi],  # one live octave
+            [1.0, 0.5, lo, lo, lo, 0.03],  # one live in the upper half
+            [1.0, 0.5, 0.2, 0.1, 0.04, 0.03],
+        ]
+    )
+    got = fit_decay_exponent(scales, rows, floor)
+    assert got.shape == (5,)
+    assert got[0] == got[1] == math.inf and math.isnan(got[2])
+    want = _fit_reference(scales, rows[3], floor)
+    assert got[3] == pytest.approx(want, rel=1e-13) and got[3] > 0
+    for row, N in zip(rows, got):
+        one = fit_decay_exponent(scales, row, floor)
+        assert isinstance(one, float) and one == N or (math.isnan(one) and math.isnan(N))
+    # K < 5: only the last octave has to be live
+    short = np.geomspace(1.0, 8.0, 4)
+    got = fit_decay_exponent(short, np.array([[1.0, 0.5, 0.2, lo], [1.0, lo, 0.2, 0.1]]), floor)
+    assert got[0] == math.inf
+    assert got[1] == pytest.approx(_fit_reference(short, np.array([1.0, lo, 0.2, 0.1]), floor), rel=1e-13)
+    assert fit_decay_exponent(np.empty(0), np.empty(0), floor) == math.inf
+    # random live rows, with and without dead octaves, against polyfit
+    rng = np.random.default_rng(7)
+    for K in (3, 4, 5, 6, 9, 12):
+        sc = np.geomspace(0.7, 0.7 * 2.0 ** (K - 1), K)
+        stack = np.exp(rng.uniform(-20.0, 2.0, (40, K)))
+        stack[rng.random((40, K)) < 0.2] = 1e-14
+        got = fit_decay_exponent(sc, stack, floor)
+        want = np.array([_fit_reference(sc, row, floor) for row in stack])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13 * np.abs(want[fin]) + 1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_decay_exponent_refuses_non_finite_stats(bad):
+    """NaN > floor is False, so a NaN stat would read as a dead octave."""
+    scales = np.geomspace(1.0, 32.0, 6)
+    stats = np.array([[1.0, 0.5, 0.2, 0.1, 0.04, 0.03]] * 3)
+    stats[1, 4] = bad
+    with pytest.raises(ValueError, match=r"non-finite stat .* at index \(1, 4\)"):
+        fit_decay_exponent(scales, stats, 1e-10)
+    with pytest.raises(ValueError, match=r"at index \(4,\)"):
+        fit_decay_exponent(scales, stats[1], 1e-10)
+
+
+def test_css_scan_refuses_a_nan_value(proto1d):
+    u = EvaluableDistribution(
+        1,
+        lambda X: np.where(X[0] > 10.0, np.nan, np.exp(-0.5 * X[0] ** 2)).astype(complex),
+        source="nan beyond 10",
+    )
+    with pytest.raises(ValueError, match="non-finite stat"):
+        css_scan(u, proto1d)
+
+
+def test_wf_scan_refuses_a_nan_sample():
+    """A NaN sample made every cell regular (NaN > floor is False); now the
+    scan names the first non-finite grid point.  The clean noise reads 20
+    singular and 4 margin cells."""
+    v = np.random.default_rng(0).standard_normal((64, 64))
+    proto = WfProtocol.make(
+        2, box=16.0, ngrid=64, n_dirs=4, classical_centers=[(0.0, 0.0)], finite_q=[(0.0, 0.0)]
+    )
+    wf = wf_scan(grid_sampled_distribution(v, 16.0), proto)
+    assert [len(wf.singular()), len(wf.singular(True)), len(wf.cells)] == [20, 24, 24]
+    v[10, 10] = np.nan
+    u = grid_sampled_distribution(v, 16.0, source="noise")
+    # the interpolation reads v[10, 10] (with weight 0) at 4 grid points
+    with pytest.raises(ValueError, match=r"noise is not finite .* x = \(-11\.25, -11\.25\), the first of 4 "):
+        wf_scan(u, proto)
+
+
 def _wf_digest(wf):
     """SHA-256 over every cell's (kind, y, q, label, fitted_N.hex()) and the
     scan's u_scale.hex(): equal digests mean bitwise-equal scans."""
@@ -243,12 +351,24 @@ def _wf_digest(wf):
     return h.hexdigest()
 
 
+def _label_digest(wf):
+    """SHA-256 over every cell's (kind, y, q, label): the scan's decisions
+    without the fitted exponents' last bits."""
+    h = hashlib.sha256()
+    for c in wf.cells:
+        h.update(f"{c.kind} {c.y.coords} {c.q.coords} {c.label}\n".encode())
+    return h.hexdigest()
+
+
 def test_wf_scan_pinned(proto1d, gtrain):
     """Bitwise pins of two scans: the 1-D g-train and a 2-D prescribed wave
     front (criterion 4's spec at 256^2, 8 directions) with classical, e and
-    corner cells."""
-    assert _wf_digest(wf_scan(gtrain, proto1d)) == (
-        "788f86a764333633406e9147fbccd966b2e1223016e5fb41f693ffd25fad9362"
+    corner cells.  The label digests are those of the SVD-based polyfit
+    slopes, which the closed-form fit moved only in the last bits of N."""
+    wf1 = wf_scan(gtrain, proto1d)
+    assert _wf_digest(wf1) == "a8277f0e7885b00478886402f601439983612cdd0905b599ea6c0d28733d4e6f"
+    assert _label_digest(wf1) == (
+        "dc2804110620e6e9ae7df0bde038e14cf0a102d232ffb89ece709837df46e8ec"
     )
     dirs = sphere_grid(2, 16)
     spec = PrescribedWfSpec(asymptotic=[(dirs[2], dirs[5]), (dirs[9], dirs[13])])
@@ -264,8 +384,9 @@ def test_wf_scan_pinned(proto1d, gtrain):
     )
     wf2 = wf_scan(make_prescribed(spec, 2, K_max=2), proto2d)
     assert {c.kind for c in wf2.cells} == {"classical", "e", "corner"}
-    assert _wf_digest(wf2) == (
-        "e513d9871a863d391fb064825174288582a9438b676f361f73d7bf501e859e44"
+    assert _wf_digest(wf2) == "1ef5d56131c60406ce71cf86032067006a93e6c8bb4dc87e15224b63f8da9410"
+    assert _label_digest(wf2) == (
+        "3e0b61b6f2e1232f801a169fd8f1da51ec20bf4ffc23d121fea58f7165ea2ed1"
     )
 
 
@@ -294,12 +415,16 @@ def test_wf_scan_pinned_odd_grid_and_1d_4096():
     the CLI's 1-D `wf-scan` of the catalog g-train (K_max 3) at ngrid 4096
     with its other defaults (box 64, 2 directions, the {-2..2} lattices)."""
     u, proto = _prescribed_2d(255, [(0.0, 0.0), (1.0, 0.0), (24.85, -24.9)])
-    assert _wf_digest(wf_scan(u, proto)) == (
-        "988b564d988e101efbb83a1efc3a1b06c197f730ad35ea9add3488e2cc4d002e"
+    wf2 = wf_scan(u, proto)
+    assert _wf_digest(wf2) == "ca59cbba7a26c811a30d095c18b2105c54ccae1edc0a56b3c1f06008012b9fe9"
+    assert _label_digest(wf2) == (
+        "14ce745dd805189cdf3bbda5f7e368d5fc10b60e3114ffc27c1c2d086471b39c"
     )
     proto1 = WfProtocol.make(1, box=64.0, ngrid=4096, n_dirs=2)
-    assert _wf_digest(wf_scan(make_g([1.0], [1.0], K_max=3), proto1)) == (
-        "e100c22408a6bce0284824b21cd2736e8d1cd9428701791648f5004b3830489a"
+    wf1 = wf_scan(make_g([1.0], [1.0], K_max=3), proto1)
+    assert _wf_digest(wf1) == "3e7e5043da5836843de840e98a0b06dcb0d6cc7dc62a08971a3ae759360dcfe7"
+    assert _label_digest(wf1) == (
+        "4ed994e4fa364b5f2fecf6d5850766637fdd4a84339fb6611c1f0117ef234f59"
     )
 
 
@@ -339,7 +464,7 @@ def test_windowed_magnitudes_equal_full_transform(d, n, complex_u):
     i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
     fr = np.clip(t - i0, 0.0, 1.0)
     dx = proto.dx
-    geom = cone_geometry(ctx.X, sphere_grid(d, 8)[1])
+    geom = cone_geometry(radial_geometry(ctx.X), sphere_grid(d, 8)[1])
     windows = [
         gaussian_window(ctx.X, lattice[-1], 0.5),
         logradial_window(cone_aperture(geom, 0.35), 4.0, 0.3),
@@ -384,7 +509,8 @@ def test_wf_scan_transforms_only_probed_columns(monkeypatch):
     monkeypatch.setattr(np.fft, "fftn", recording("fftn", np.fft.fftn))
     monkeypatch.setattr(np.fft, "fftshift", recording("fftshift", np.fft.fftshift))
     wf = wf_scan(u, proto)
-    assert _wf_digest(wf) == "e513d9871a863d391fb064825174288582a9438b676f361f73d7bf501e859e44"
+    assert _wf_digest(wf) == "1ef5d56131c60406ce71cf86032067006a93e6c8bb4dc87e15224b63f8da9410"
+    assert _label_digest(wf) == "3e0b61b6f2e1232f801a169fd8f1da51ec20bf4ffc23d121fea58f7165ea2ed1"
 
     n_windows = len(proto.sigmas) * len(proto.classical_centers) + 3 * len(proto.x_dirs) * len(
         proto.r_values()
@@ -461,6 +587,13 @@ def test_octave_maxima_equals_loop_reference():
         want = reference(scales, values, lo)
         assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # a stack of profiles over the same scales: each row is its own call
+        stack = rng.standard_normal((5, scales.size))
+        cents, maxes = octave_maxima(scales, stack, lo)
+        assert maxes.shape == (5, want[0].size) and np.array_equal(cents, want[0])
+        for row, m in zip(stack, maxes):
+            single = octave_maxima(scales, row, lo)[1]
+            assert m.tobytes() == single.tobytes() == reference(scales, row, lo)[1].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -482,13 +615,54 @@ def test_protocol_rejects_nonpositive_parameters(proto1d, bad):
         proto1d.replace(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"x_dirs": ((0.0, 0.0),)},  # no direction: failed only after its FFTs
+        {"x_dirs": ((math.nan, 1.0),)},  # read as regular cells with N = inf
+        {"x_dirs": ((1.0, math.inf),)},
+        {"x_dirs": ((1.0,),)},
+        {"q_dirs": ((0.0, 1.0, 0.0),)},  # an IndexError in the scan
+        {"q_dirs": ((0.0, -0.0),)},
+        {"q_dirs": (("a", 1.0),)},
+        {"classical_centers": ((0.0,),)},
+        {"classical_centers": ((0.0, math.nan),)},
+    ],
+)
+def test_protocol_rejects_malformed_points(bad):
+    base = WfProtocol.make(2, box=16.0, ngrid=256, n_dirs=4)
+    with pytest.raises(ValueError, match=rf"WfProtocol\.{next(iter(bad))} entry"):
+        base.replace(**bad)
+
+
+@pytest.mark.parametrize("d, n", [(1, 63), (2, 63), (2, 255)])
+def test_logradial_window_is_zero_at_the_origin_of_an_odd_grid(d, n):
+    """An odd grid holds the origin; log|x| is -inf there, so every cone
+    window is exactly 0.0 there, with no warning on the way."""
+    L = 8.0
+    ax = -L + (np.arange(n) + 0.5) * (2.0 * L / n)
+    X = np.stack([m.ravel() for m in np.meshgrid(*[ax] * d, indexing="ij")])
+    origin = np.flatnonzero(np.linalg.norm(X, axis=0) <= 1e-12)
+    assert origin.size == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radial = radial_geometry(X)
+        assert radial[-1][origin] == -np.inf
+        for omega in sphere_grid(d, 8):
+            geom = cone_geometry(radial, omega)
+            assert geom[1][origin] == 0.0
+            for alpha in (0.35, 0.0875):
+                w = logradial_window(cone_aperture(geom, alpha), 4.0, 0.3)
+                assert w[origin] == 0.0 and np.all(np.isfinite(w)) and np.all(w >= 0.0)
+
+
 def test_logradial_window_origin_and_ray():
     r, tau, alpha = 4.0, 0.3, 0.35
     omega = np.array([3.0, 4.0])  # not normalized
     on_ray = omega[:, None] / 5.0 * r
     off_ray = np.array([[0.0], [r]])
     X = np.hstack([on_ray, np.zeros((2, 1)), off_ray, 2.0 * on_ray])
-    w = logradial_window(cone_aperture(cone_geometry(X, omega), alpha), r, tau)
+    w = logradial_window(cone_aperture(cone_geometry(radial_geometry(X), omega), alpha), r, tau)
     assert w[0] == pytest.approx(1.0, rel=1e-12)
     assert w[1] == 0.0  # the origin: no half-offset scan grid holds it
     assert 0.0 < w[2] < w[0] and 0.0 < w[3] < w[0]
