@@ -7,8 +7,9 @@ operators are numerical compositions through an intermediate uniform grid.
 The Fourier transform is an ordinary half operator (phase -y.xi, amplitude 1;
 its inverse y.xi and (2 pi)^-1), so every half operator and every composite
 sums its quadrature nodes through the one HalfOperator._node_sum.
-The Klein-Gordon evolution is the worked two-term composite example, kept in
-its literal form.
+Half operators and composites alike double their rule until two sums agree
+and refuse otherwise.  The Klein-Gordon evolution is the worked two-term
+composite, u(t) = A_+ F f - A_- F f.
 """
 
 from __future__ import annotations
@@ -55,6 +56,24 @@ def _panel_rule(a: float, b: float, n_panels: int):
     nodes = (mid[:, None] + half * GK_NODES[None, :]).ravel()
     weights = np.tile(half * GK_WEIGHTS, n_panels)
     return nodes, weights
+
+
+def _until_agreed(sums, n: int, tol: float, unit: str) -> np.ndarray:
+    """sums(n) at n, 2n, 4n and 8n until two successive sums agree to tol
+    relative to 1 + their largest value; refused with NonConvergenceError,
+    whose diagnostic carries the last n under `unit`, otherwise."""
+    prev = sums(n)
+    for _ in range(3):
+        n *= 2
+        val = sums(n)
+        change = float(np.max(np.abs(val - prev)))
+        if change < tol * (1.0 + np.max(np.abs(val))):
+            return val
+        prev = val
+    raise NonConvergenceError(
+        f"quadrature changed by {change:.3g} at {n} {unit.replace('_', ' ')}",
+        {unit: n, "change": change, "tol": tol},
+    )
 
 
 @dataclass
@@ -115,18 +134,7 @@ class HalfOperator:
         Y = np.tile(live, pts.shape[1])[None, :]
         freq = float(np.max(np.abs(self.phi.grad_x(Y, np.repeat(pts, len(live), axis=1)))))
         n_panels = max(8, int(self.ybox * max(freq, 1.0) / 6.0))
-        prev = self._apply_panels(f, pts, n_panels)
-        for _ in range(3):
-            n_panels *= 2
-            val = self._apply_panels(f, pts, n_panels)
-            change = float(np.max(np.abs(val - prev)))
-            if change < tol * (1.0 + np.max(np.abs(val))):
-                return val
-            prev = val
-        raise NonConvergenceError(
-            f"half-operator quadrature changed by {change:.3g} at {n_panels} panels",
-            {"panels": n_panels, "change": change, "tol": tol},
-        )
+        return _until_agreed(lambda n: self._apply_panels(f, pts, n), n_panels, tol, "panels")
 
     def _apply_panels(self, f, pts, n_panels):
         nodes, weights = _panel_rule(-self.ybox, self.ybox, n_panels)
@@ -144,21 +152,11 @@ class HalfOperator:
 
     def transpose(self) -> "HalfOperator":
         """Swap the integration and output variables."""
-        swapped = SymbolFn(
-            self.phi.s,
-            self.phi.d,
-            (self.phi.order[1], self.phi.order[0]),
-            lambda xj, kj, inner=self.phi: inner.jet_fn(kj, xj),
-            f"t[{self.phi.source}]",
+        phi, amp = (
+            SymbolFn(g.s, g.d, g.order[::-1], lambda x, k, g=g: g.jet_fn(k, x), f"t[{g.source}]")
+            for g in (self.phi, self.amplitude)
         )
-        amp = SymbolFn(
-            self.amplitude.s,
-            self.amplitude.d,
-            (self.amplitude.order[1], self.amplitude.order[0]),
-            lambda xj, kj, inner=self.amplitude: inner.jet_fn(kj, xj),
-            f"t[{self.amplitude.source}]",
-        )
-        return HalfOperator(phi=swapped, amplitude=amp, ybox=self.ybox, protocol=self.protocol)
+        return HalfOperator(phi=phi, amplitude=amp, ybox=self.ybox, protocol=self.protocol)
 
 
 def fourier_half_operator(d: int = 1, inverse: bool = False, ybox: float = 12.0) -> HalfOperator:
@@ -179,22 +177,28 @@ def fourier_half_operator(d: int = 1, inverse: bool = False, ybox: float = 12.0)
 
 @dataclass
 class ComposedOperator:
-    """outer o inner through a uniform intermediate grid."""
+    """outer o inner through a midpoint grid on [-grid_max, grid_max]."""
 
     outer: HalfOperator
     inner: HalfOperator
     grid_max: float = 12.0
-    grid_n: int = 384
 
     def apply(self, f: SchwartzFn, out_points, tol: float = 1e-8) -> np.ndarray:
+        """Pointwise values at out_points; the intermediate grid starts at
+        384 points and doubles until two sums agree to tol, as in
+        HalfOperator.apply, and is refused with NonConvergenceError
+        otherwise."""
         pts = as_points(out_points, self.outer.d_out)
-        dxi = 2.0 * self.grid_max / self.grid_n
-        xi = -self.grid_max + (np.arange(self.grid_n) + 0.5) * dxi
+        return _until_agreed(lambda n: self._apply_grid(f, pts, n, tol), 384, tol, "grid_points")
+
+    def _apply_grid(self, f, pts, n, tol):
+        dxi = 2.0 * self.grid_max / n
+        xi = -self.grid_max + (np.arange(n) + 0.5) * dxi
         inner_vals = self.inner.apply(f, xi[None, :], tol=tol)
         return self.outer._node_sum(xi, dxi * inner_vals, pts)
 
 
-def compose(op2: HalfOperator, op1: HalfOperator, grid_max: float = 12.0, grid_n: int = 384) -> ComposedOperator:
+def compose(op2: HalfOperator, op1: HalfOperator, grid_max: float = 12.0) -> ComposedOperator:
     """op2 after op1; requires a flag making the intermediate function
     integrable (op1 mapping into rapidly decaying functions, op1 a phase
     component, which a Fourier factor is, or a decaying outer amplitude)."""
@@ -206,7 +210,7 @@ def compose(op2: HalfOperator, op1: HalfOperator, grid_max: float = 12.0, grid_n
             "inner operator lacks a decay flag and the outer amplitude "
             "does not decay; composition undefined at this rigor level"
         )
-    return ComposedOperator(outer=op2, inner=op1, grid_max=grid_max, grid_n=grid_n)
+    return ComposedOperator(outer=op2, inner=op1, grid_max=grid_max)
 
 
 # -- phase components and the V regularizer ---------------------------------------
@@ -344,61 +348,54 @@ def apply_to_distribution(
 
 # -- the Klein-Gordon evolution --------------------------------------------------------
 
+# half-width of the xi grid of the Klein-Gordon composites
+KG_XI_MAX = 16.0
+
 
 @dataclass
 class KgEvolution:
-    """u(t, x) from the two-term composite formula; real for real data."""
+    """u(t) = A_+ F f - A_- F f, where A_+- is the type-one half operator
+    with phase x.xi +- c t omega(xi), omega = (mass^2 + xi^2)^(1/2), and
+    amplitude (2 pi)^-1 (2 i omega)^-1; du/dt is the same difference with
+    amplitudes +-(c/2) (2 pi)^-1.  Real for real data."""
 
     f: SchwartzFn
     c: float
     mass: float
-    xi_max: float
-    n_xi: int
-    ybox: float
 
     def __post_init__(self):
-        dxi = 2.0 * self.xi_max / self.n_xi
-        self.xi = -self.xi_max + (np.arange(self.n_xi) + 0.5) * dxi
-        self.dxi = dxi
-        nodes, weights = _panel_rule(-self.ybox, self.ybox, 96)
-        fv = self.f.value(nodes[None, :])
-        self.fhat = np.exp(-1j * np.outer(self.xi, nodes)) @ (weights * fv)
-        self.omega = np.sqrt(self.mass**2 + self.xi**2)
+        self.fourier = fourier_half_operator(1)
+        self.fourier.check_flags()
 
-    def terms(self, t: float, x) -> tuple:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        base = np.exp(1j * np.outer(x, self.xi))
-        common = self.fhat / (2j * self.omega) * self.dxi / TWO_PI
-        plus = (base * np.exp(1j * self.c * t * self.omega)[None, :]) @ common
-        minus = (base * np.exp(-1j * self.c * t * self.omega)[None, :]) @ common
-        return plus, minus
+    def _omega(self, xj):
+        return (self.mass**2 + xj[0] * xj[0]).sqrt()
+
+    def _term(self, ct: float, amp: SymbolFn, pts) -> np.ndarray:
+        """A F f at pts, A with phase x.xi + ct omega(xi) and amplitude amp."""
+        def phase(xj, kj):
+            return xj[0] * kj[0] + ct * self._omega(xj)
+
+        A = HalfOperator(phi=SymbolFn(1, 1, (1, 1), phase, f"x.xi{ct:+g} omega"), amplitude=amp)
+        return compose(A, self.fourier, grid_max=KG_XI_MAX).apply(self.f, pts)
+
+    def _difference(self, t: float, x, amp_plus, amp_minus) -> np.ndarray:
+        pts = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+        return self._term(self.c * t, amp_plus, pts) - self._term(-self.c * t, amp_minus, pts)
 
     def values(self, t: float, x) -> np.ndarray:
-        plus, minus = self.terms(t, x)
-        return plus - minus
+        a = SymbolFn(
+            1, 1, (-1, 0), lambda xj, kj: 1 / (2j * TWO_PI * self._omega(xj)), "(4 pi i omega)^-1"
+        )
+        return self._difference(t, x, a, a)
 
     def dt_values(self, t: float, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        base = np.exp(1j * np.outer(x, self.xi))
-        common = self.fhat * self.dxi / TWO_PI
-        cosw = np.cos(self.c * t * self.omega)
-        return (base * (self.c * cosw)[None, :]) @ common
+        half = self.c / (2.0 * TWO_PI)
+        return self._difference(t, x, constant_symbol(1, 1, half), constant_symbol(1, 1, -half))
 
 
-def kg_evolve(
-    f: SchwartzFn,
-    t: float,
-    c: float = 1.0,
-    mass: float = 1.0,
-    dims: int = 1,
-    xi_max: float = 16.0,
-    n_xi: int = 1024,
-    ybox: float = 12.0,
-) -> KgEvolution:
-    if dims != 1:
-        raise NotImplementedError("desk-scale evolution is 1d")
+def kg_evolve(f: SchwartzFn, t: float, c: float = 1.0, mass: float = 1.0) -> KgEvolution:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if mass <= 0:
         raise ValueError("mass must be positive")
-    return KgEvolution(f=f, c=c, mass=mass, xi_max=xi_max, n_xi=n_xi, ybox=ybox)
+    return KgEvolution(f=f, c=c, mass=mass)

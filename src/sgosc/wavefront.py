@@ -97,10 +97,11 @@ def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> Ev
     def evaluator(X):
         X = np.asarray(X, dtype=float)
         t = (X - x0) / dx
-        i0 = np.floor(t).astype(int)
+        # the last cell also owns the last sample, at frac = 1
+        i0 = np.minimum(np.floor(t).astype(int), n - 2)
         frac = t - i0
         out = np.zeros(X.shape[1], dtype=complex)
-        inside = np.all((i0 >= 0) & (i0 < n - 1), axis=0)
+        inside = np.all((i0 >= 0) & (frac <= 1), axis=0)
         if not np.any(inside):
             return out
         out[inside] = _bilinear(vals, i0[:, inside], frac[:, inside])

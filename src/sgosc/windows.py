@@ -79,7 +79,10 @@ def _bump_quad_nodes(n: int = 4000):
     r = 0.5 * (t + 1.0)
     # the profile is smooth to all orders, so its transform decays faster than
     # any polynomial, which the prescribed-wave-front series requires
-    return r, 0.5 * w, bump_profile(r)
+    nodes = (r, 0.5 * w, bump_profile(r))
+    for a in nodes:  # cached, so shared read-only
+        a.setflags(write=False)
+    return nodes
 
 
 def _in_blocks(rows, rz, block: int = 256) -> np.ndarray:

@@ -70,6 +70,16 @@ def test_non_integrable_regularization_exits_3_with_diagnostic(capsys):
     assert "non-integrable" in err["error"]
 
 
+def test_kg_unconverged_grid_exits_3_with_diagnostic(tmp_path, capsys):
+    # at t = 400 the composite's xi grid aliases up to 3072 points
+    out = tmp_path / "u.csv"
+    assert main(["kg", "--t", "400", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["diagnostic"]["grid_points"] == 3072
+    assert err["diagnostic"]["change"] >= err["diagnostic"]["tol"]
+    assert not out.exists()
+
+
 def test_eval_oscint_with_oracle(tmp_path, capsys):
     code = run(
         {

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sgosc.catalog import KgSpec, gaussian_amplitude, sep_power_phase
 from sgosc.compactify import CompactPoint
@@ -154,7 +155,7 @@ def test_type_one_maps_into_rapid_decay():
     rep = phase_component_check(phi)
     assert rep["ok"]
     outer = HalfOperator(phi=phi, amplitude=constant_symbol(1, 1, 1.0))
-    comp = compose(outer, fourier_half_operator(1), grid_max=14.0, grid_n=512)
+    comp = compose(outer, fourier_half_operator(1), grid_max=14.0)
     f = SchwartzFn.gaussian(1)
     rs = np.array([2.0, 4.0, 8.0, 16.0])
     vals = np.abs(comp.apply(f, rs[None, :]))
@@ -231,6 +232,37 @@ def test_kg_evolution_pde_residual():
     uxx = (c[0] * u[:-4] + c[1] * u[1:-3] + c[2] * u[2:-2] + c[3] * u[3:-1] + c[4] * u[4:]) / hx**2
     res = utt[2:-2] - uxx + u[2:-2]
     assert np.max(np.abs(res)) < 1e-3 * np.max(np.abs(u))
+
+
+def test_kg_evolution_matches_quadpack_reference():
+    # f = e^{-y^2}, f-hat = sqrt(pi) e^{-xi^2/4}: u is the cosine integral
+    # (1/pi) int_0^inf cos(x xi) sin(t omega)/omega f-hat dxi, cut at 40
+    def integrand(xi, t, x):
+        om = math.sqrt(1.0 + xi * xi)
+        fhat = math.sqrt(math.pi) * math.exp(-xi * xi / 4)
+        return math.cos(x * xi) * math.sin(t * om) / om * fhat
+
+    evo = kg_evolve(SchwartzFn.gaussian(1), 0.5)
+    xs = [0.0, 1.0, 3.0]
+    for t in (0.5, 2.0, 5.0):
+        want = [
+            quad(integrand, 0.0, 40.0, args=(t, x), epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            / math.pi
+            for x in xs
+        ]
+        assert np.max(np.abs(evo.values(t, xs) - want)) < 1e-12
+
+
+def test_kg_evolution_refuses_an_aliased_grid():
+    # u(400) is spread over |x| < 400, wider than the alias period 2 pi n / 32
+    # of every midpoint grid of n <= 1536 points on [-16, 16]; a fixed grid of
+    # 1024 points reads u(400, 0) off by 0.059 against QUADPACK
+    evo = kg_evolve(SchwartzFn.gaussian(1), 0.5)
+    with pytest.raises(NonConvergenceError) as err:
+        evo.values(400.0, [0.0, 150.0])
+    diag = err.value.diagnostic
+    assert set(diag) == {"grid_points", "change", "tol"}
+    assert diag["grid_points"] == 3072 and diag["change"] >= diag["tol"]
 
 
 def test_kg_evolve_validates_inputs():

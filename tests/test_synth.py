@@ -16,7 +16,7 @@ from sgosc.synth import (
     make_prescribed,
 )
 from sgosc.wavefront import WfProtocol, css_scan, wf_scan
-from sgosc.windows import bump_ft
+from sgosc.windows import _bump_quad_nodes, bump_ft
 
 
 def test_fk_basic_values():
@@ -169,6 +169,17 @@ def test_bump_ft_memory_is_bounded_and_blocking_is_invisible(d):
     cuts = (0, 700, 3000, rz.size)
     parts = [ft(Z[:, a:b]) for a, b in zip(cuts, cuts[1:])]
     assert np.array_equal(vals, np.concatenate(parts))
+
+
+def test_bump_quad_nodes_are_built_once_and_read_only():
+    nodes = _bump_quad_nodes()
+    assert _bump_quad_nodes() is nodes
+    for a in nodes:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
 
 
 def test_spec_json_round_trip():

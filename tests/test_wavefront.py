@@ -338,6 +338,19 @@ def test_wf_scan_refuses_a_nan_sample():
         wf_scan(u, proto)
 
 
+def test_grid_sampled_distribution_reads_its_last_row_and_column():
+    """The evaluator kept only cells 0 <= i0 < n - 1, so row 7 and column 7
+    of this 8x8 grid read 0 at their own sample points."""
+    n, L = 8, 4.0
+    v = np.arange(1.0, n * n + 1.0).reshape(n, n)
+    u = grid_sampled_distribution(v, L)
+    x = -L + (np.arange(n) + 0.5) * (2.0 * L / n)
+    X = np.stack(np.meshgrid(x, x, indexing="ij")).reshape(2, -1)
+    assert np.array_equal(u.values(X).reshape(n, n), v)
+    # past the last sample, as before the first, it is zero
+    assert np.array_equal(u.values(np.array([[x[-1] + 0.1, x[0] - 0.1], [0.0, 0.0]])), [0, 0])
+
+
 def _wf_digest(wf):
     """SHA-256 over every cell's (kind, y, q, label, fitted_N.hex()) and the
     scan's u_scale.hex(): equal digests mean bitwise-equal scans."""
