@@ -46,10 +46,6 @@ class KgSpec:
     def s(self) -> int:
         return self.spatial_dim
 
-    def omega(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        return np.sqrt(self.mass**2 + np.sum(xi * xi, axis=0))
-
     def phase(self) -> PhaseFn:
         m2 = self.mass**2
         d = self.d

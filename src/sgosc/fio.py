@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactify import as_columns, as_points, japanese_bracket
-from .jets import base_points, norm2_jet
+from .jets import Jet, base_points, norm2_jet
 from .oscint import (
     GK_NODES,
     GK_WEIGHTS,
@@ -241,16 +241,14 @@ class VRegularizer:
     phi: SymbolFn
     component_report: dict
 
-    def denominator(self, x, xi) -> np.ndarray:
+    def _denominator(self, x, xi, order: int) -> Jet:
+        """Jet of D of order `order`, from one jet of phi two orders above."""
         d, s = self.phi.d, self.phi.s
-        pj = self.phi.jet(x, xi, 2)
-        g2 = np.zeros(pj.batch, dtype=complex)
-        lap = np.zeros(pj.batch, dtype=complex)
-        for j in range(s):
-            dj = pj.derivative(d + j)
-            g2 = g2 + dj.value**2
-            lap = lap + dj.derivative(d + j).value
-        return 1.0 + g2 - 1j * lap
+        gk = self.phi.gradient_jets(x, xi, order + 1)[1]
+        lap = gk[0].derivative(d)
+        for j in range(1, s):
+            lap = lap + gk[j].derivative(d + j)
+        return 1.0 + norm2_jet(gk) - 1j * lap
 
     def residual(self, x, xi) -> np.ndarray:
         """|tV e^{i phi} - e^{i phi}| at batched points."""
@@ -260,21 +258,15 @@ class VRegularizer:
         one_minus_lap = E.value.copy()
         for j in range(s):
             one_minus_lap = one_minus_lap - E.derivative(d + j).derivative(d + j).value
-        return np.abs(one_minus_lap / self.denominator(x, xi) - E.value)
+        return np.abs(one_minus_lap / self._denominator(x, xi, 0).value - E.value)
 
     def apply(self, a: SymbolFn) -> SymbolFn:
         """V(a) = (1 - Lap_xi)[a / D], gaining two orders of x-decay."""
-        phi = self.phi
-        d, s = phi.d, phi.s
+        d, s = self.phi.d, self.phi.s
 
         def jet_fn(xj, kj):
             x, k, order = base_points(xj, kj)
-            gk = phi.gradient_jets(x, k, order + 3)[1]
-            lap = gk[0].derivative(d)
-            for j in range(1, s):
-                lap = lap + gk[j].derivative(d + j)
-            D = 1.0 + norm2_jet(gk) - 1j * lap
-            inner = a.jet(x, k, order + 2) * D.recip()
+            inner = a.jet(x, k, order + 2) * self._denominator(x, k, order + 2).recip()
             out = inner.truncate(order)
             for j in range(s):
                 out = out - inner.derivative(d + j).derivative(d + j)
@@ -379,6 +371,8 @@ class KgEvolution:
         return compose(A, self.fourier, grid_max=KG_XI_MAX).apply(self.f, pts)
 
     def _difference(self, t: float, x, amp_plus, amp_minus) -> np.ndarray:
+        if not t >= 0:  # NaN too
+            raise ValueError("t must be nonnegative")
         pts = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         return self._term(self.c * t, amp_plus, pts) - self._term(-self.c * t, amp_minus, pts)
 
@@ -394,7 +388,7 @@ class KgEvolution:
 
 
 def kg_evolve(f: SchwartzFn, t: float, c: float = 1.0, mass: float = 1.0) -> KgEvolution:
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("t must be nonnegative")
     if mass <= 0:
         raise ValueError("mass must be positive")

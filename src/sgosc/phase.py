@@ -20,7 +20,6 @@ import numpy as np
 
 from .compactify import (
     CompactPoint,
-    as_columns,
     ball_distance,
     japanese_bracket,
     pair_distance,
@@ -149,12 +148,8 @@ def weighted_grad_x_sq_symbol(phi: PhaseFn) -> SymbolFn:
 
 
 def eta(phi: PhaseFn, x, xi) -> np.ndarray:
-    """Pointwise eta(x, xi) >= 0 computed from first-order jets."""
-    gx, gk = phi.gradients(x, xi)
-    bx = japanese_bracket(as_columns(x)) ** 2
-    bk = japanese_bracket(as_columns(xi)) ** 2
-    val = bx * np.sum(np.abs(gx) ** 2, axis=0) + bk * np.sum(np.abs(gk) ** 2, axis=0)
-    return val.real
+    """Pointwise eta(x, xi) >= 0, the value of eta_symbol(phi)."""
+    return eta_symbol(phi).value(x, xi)
 
 
 def check_admissible(

@@ -207,27 +207,15 @@ def make_classical_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> Evalu
 def make_e_part(pairs: Sequence[tuple], d: int, k_top: int = 7) -> EvaluableDistribution:
     """Fourier dual of a classical construction: e-type singularities at
     (omega_i, q_i).  Realized as T_e = F^{-1} S where S carries the classical
-    wave front {(q_i, -omega_i)}; S is T_e's transform."""
-    ftfun, _ = bump_ft(d)
+    wave front {(q_i, -omega_i)}; S is T_e's transform, so T_e(X) is
+    (2 pi)^-d times S's transform at -X."""
     dual_pairs = [(q, tuple(-v for v in np.atleast_1d(o))) for o, q in pairs]
-    assigns = _classical_assignments(dual_pairs, k_top)
-    two_pi_d = (2.0 * math.pi) ** d
-
-    # S's transform at -X, divided by (2 pi)^d term by term
-    def evaluator(X):
-        acc = np.zeros(X.shape[1], dtype=complex)
-        for q, nu, ks in assigns:
-            omega = -np.asarray(nu)
-            for k in ks:
-                arg = (X - k**3 * omega[:, None]) / k
-                phase = np.exp(
-                    1j * np.tensordot(q, X - k**3 * omega[:, None], axes=(0, 0))
-                )
-                acc += k ** (-2.0 - d) * ftfun(arg) * phase / two_pi_d
-        return acc
-
     S = make_classical_part(dual_pairs, d, k_top)
-    return EvaluableDistribution(d, evaluator, analytic_ft=S, source="e-wf part")
+    s_hat = S.ft().values
+    two_pi_d = (2.0 * math.pi) ** d
+    return EvaluableDistribution(
+        d, lambda X: s_hat(-X) / two_pi_d, analytic_ft=S, source="e-wf part"
+    )
 
 
 def make_prescribed(

@@ -85,11 +85,20 @@ def _bilinear(V: np.ndarray, i0: np.ndarray, fr: np.ndarray) -> np.ndarray:
 
 def grid_sampled_distribution(values: np.ndarray, L: float, source="grid") -> EvaluableDistribution:
     """Wrap precomputed grid values (n,)*d on [-L, L)^d as an evaluable
-    distribution; multilinear interpolation inside, zero outside."""
+    distribution; multilinear interpolation inside, zero outside.  Refuses
+    a non-finite sample, which the interpolation would spread to its
+    neighbours."""
     vals = np.asarray(values, dtype=complex)
     d = vals.ndim
     if d > 2:
         raise ValueError("grid distributions support d <= 2")
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(
+            f"{source} is not finite: {vals[idx]} at sample {idx}, "
+            f"the first of {len(bad)} of {vals.size} samples"
+        )
     n = vals.shape[0]
     dx = 2.0 * L / n
     x0 = -L + 0.5 * dx

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import j0, j1
 
 from .compactify import bump_profile, smooth_transition
 
@@ -73,13 +73,19 @@ def logradial_window(cone: tuple, r: float, tau: float) -> np.ndarray:
 # -- Fourier transform of the bump ------------------------------------------------
 
 
+# Gauss-Legendre nodes on the taper [1/2, 1], the only part of the profile
+# without a closed-form transform
+_TAPER_NODES = 200
+
+
 @lru_cache(maxsize=None)
-def _bump_quad_nodes(n: int = 4000):
-    t, w = np.polynomial.legendre.leggauss(n)
-    r = 0.5 * (t + 1.0)
+def _bump_quad_nodes():
+    """(r, w, b): nodes and weights of the taper rule and the profile there."""
+    t, w = np.polynomial.legendre.leggauss(_TAPER_NODES)
+    r = 0.75 + 0.25 * t
     # the profile is smooth to all orders, so its transform decays faster than
     # any polynomial, which the prescribed-wave-front series requires
-    nodes = (r, 0.5 * w, bump_profile(r))
+    nodes = (r, 0.25 * w, bump_profile(r))
     for a in nodes:  # cached, so shared read-only
         a.setflags(write=False)
     return nodes
@@ -95,34 +101,34 @@ def _in_blocks(rows, rz, block: int = 256) -> np.ndarray:
     return out
 
 
+def _disc_plateau(rz):
+    """pi J1(z/2)/z, the 2-D transform of the indicator of |x| <= 1/2."""
+    safe = np.where(rz > 0.0, rz, 1.0)
+    return np.where(rz > 0.0, np.pi * j1(0.5 * safe) / safe, 0.25 * np.pi)
+
+
 def bump_ft(dim: int):
     """Evaluator of the Fourier transform of the normalized radial bump
-    (normalized so the transform equals 1 at 0); supports dim in {1, 2}."""
+    (normalized so the transform equals 1 at 0); supports dim in {1, 2}.
+
+    The plateau [0, 1/2] is taken in closed form, 2 sin(z/2)/z in 1-D and
+    pi J1(z/2)/z in 2-D; the taper [1/2, 1] by the Gauss-Legendre rule."""
     r, w, b = _bump_quad_nodes()
     if dim == 1:
-        z0 = 2.0 * np.sum(w * b)
+        plateau, kernel, wb = lambda rz: np.sinc(rz / (2.0 * np.pi)), np.cos, 2.0 * w * b
+    elif dim == 2:
+        plateau, kernel, wb = _disc_plateau, j0, 2.0 * np.pi * w * b * r
+    else:
+        raise ValueError("bump_ft supports dimensions 1 and 2")
 
-        def rows(rz):
-            return 2.0 * np.sum(w[None, :] * b[None, :] * np.cos(np.outer(rz, r)), axis=1)
+    def rows(rz):
+        return plateau(rz) + np.sum(wb[None, :] * kernel(np.outer(rz, r)), axis=1)
 
-        def ft(z):
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            rz = np.abs(z if z.ndim == 1 else np.linalg.norm(z, axis=0))
-            return _in_blocks(rows, rz) / z0
+    z0 = float(rows(np.zeros(1))[0])
 
-        return ft, z0
-    if dim == 2:
-        z0 = 2.0 * np.pi * np.sum(w * b * r)
+    def ft(z):
+        z = np.asarray(z, dtype=float)
+        rz = np.linalg.norm(z, axis=0) if z.ndim > 1 else np.abs(np.atleast_1d(z))
+        return _in_blocks(rows, rz) / z0
 
-        def rows(rz):
-            return 2.0 * np.pi * np.sum(
-                w[None, :] * b[None, :] * r[None, :] * j0(np.outer(rz, r)), axis=1
-            )
-
-        def ft(z):
-            z = np.asarray(z, dtype=float)
-            rz = np.linalg.norm(np.atleast_2d(z), axis=0) if z.ndim > 1 else np.abs(z)
-            return _in_blocks(rows, np.atleast_1d(rz)) / z0
-
-        return ft, z0
-    raise ValueError("bump_ft supports dimensions 1 and 2")
+    return ft, z0

@@ -265,6 +265,19 @@ def test_kg_evolution_refuses_an_aliased_grid():
     assert diag["grid_points"] == 3072 and diag["change"] >= diag["tol"]
 
 
+def test_kg_evolution_refuses_negative_times():
+    # values(-1.0, [0, 1]) returned [-0.615, -0.374] although kg_evolve
+    # refuses t = -1; a NaN t ran three grid doublings to a NonConvergenceError
+    f = SchwartzFn.gaussian(1)
+    evo = kg_evolve(f, 0.5)
+    for t in (-1.0, math.nan):
+        for method in (evo.values, evo.dt_values):
+            with pytest.raises(ValueError, match="t must be nonnegative"):
+                method(t, [0.0, 1.0])
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            kg_evolve(f, t)
+
+
 def test_kg_evolve_validates_inputs():
     f = SchwartzFn.gaussian(1)
     with pytest.raises(ValueError):

@@ -323,8 +323,9 @@ def test_css_scan_refuses_a_nan_value(proto1d):
 
 def test_wf_scan_refuses_a_nan_sample():
     """A NaN sample made every cell regular (NaN > floor is False); now the
-    scan names the first non-finite grid point.  The clean noise reads 20
-    singular and 4 margin cells."""
+    grid distribution refuses it when built, naming its index (the
+    interpolation would spread it to 4 grid points).  The clean noise reads
+    20 singular and 4 margin cells."""
     v = np.random.default_rng(0).standard_normal((64, 64))
     proto = WfProtocol.make(
         2, box=16.0, ngrid=64, n_dirs=4, classical_centers=[(0.0, 0.0)], finite_q=[(0.0, 0.0)]
@@ -332,9 +333,21 @@ def test_wf_scan_refuses_a_nan_sample():
     wf = wf_scan(grid_sampled_distribution(v, 16.0), proto)
     assert [len(wf.singular()), len(wf.singular(True)), len(wf.cells)] == [20, 24, 24]
     v[10, 10] = np.nan
-    u = grid_sampled_distribution(v, 16.0, source="noise")
-    # the interpolation reads v[10, 10] (with weight 0) at 4 grid points
-    with pytest.raises(ValueError, match=r"noise is not finite .* x = \(-11\.25, -11\.25\), the first of 4 "):
+    with pytest.raises(ValueError, match=r"noise is not finite: .* at sample \(10, 10\), the first of 1 "):
+        grid_sampled_distribution(v, 16.0, source="noise")
+
+
+def test_wf_scan_refuses_a_nan_on_the_scan_grid():
+    """An evaluator that is NaN at one scan-grid point is named there."""
+    proto = WfProtocol.make(
+        2, box=16.0, ngrid=64, n_dirs=4, classical_centers=[(0.0, 0.0)], finite_q=[(0.0, 0.0)]
+    )
+
+    def evaluator(X):
+        return np.where(np.all(X == -11.25, axis=0), np.nan, 1.0)
+
+    u = EvaluableDistribution(2, evaluator, source="holed")
+    with pytest.raises(ValueError, match=r"holed is not finite .* x = \(-11\.25, -11\.25\), the first of 1 "):
         wf_scan(u, proto)
 
 
