@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its measured runtime.  Tolerances are pinned here, not configurable."""
 
+import hashlib
 import math
 import time
 
@@ -326,6 +327,16 @@ def test_criterion_5_kg_set_oracles():
 
     total = len(m_pairs) + len(sp_pairs)
     assert total >= 1700, f"grid has {total} cells, wanted ~2000"
+    # bitwise pin of the whole grid, oracle-tested or not, in the digest
+    # format of test_kg_classifiers_pinned
+    h = hashlib.sha256()
+    for s in mgrid.samples:
+        h.update(f"{s.classification} {float(s.min_ratio).hex()}\n".encode())
+    for s in sgrid.samples:
+        h.update(f"{s.classification} {float(s.min_ratio).hex()} {s.fiber_count}\n".encode())
+    assert h.hexdigest() == (
+        "de397b5b3a074aed7cc708993e8f42614aa45530aec77be218f177efce112105"
+    )
     elapsed = time.time() - t0
     assert elapsed < 600.0
     _report(
