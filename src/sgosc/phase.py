@@ -31,14 +31,19 @@ from .symbols import (
     ScanProtocol,
     SymbolFn,
     _sample_pairs,
+    band,
     cross_sides,
     elliptic_at,
     globally_elliptic,
     order_pair,
+    recentre,
     side_grid,
 )
 
 INF = math.inf
+
+# set-membership label of each band of a sampled ratio against c0
+_LABELS = {"below": "member", "straddle": "margin", "above": "nonmember"}
 
 
 class NotAdmissibleError(ValueError):
@@ -215,9 +220,7 @@ def mphi_classify(
     require_admissible(phi, protocol)
     n, nu = phi.order
     res = elliptic_at(grad_xi_sq_symbol(phi), (2 * n, 2 * nu - 2), pair, protocol)
-    band = res.band(protocol.c0)
-    label = {"below": "member", "straddle": "margin", "above": "nonmember"}[band]
-    return MphiSample(pair, label, res.min_ratio, protocol.echo())
+    return MphiSample(pair, _LABELS[res.band(protocol.c0)], res.min_ratio, protocol.echo())
 
 
 class ClassifiedGrid:
@@ -312,96 +315,41 @@ def spphi_classify(
     mphi_grid: MphiGrid,
     protocol: ScanProtocol = DEFAULT_PROTOCOL,
 ) -> SPphiSample:
-    """Membership in SP_phi at (y, q) in the boundary of B^d x B^d.
+    """Membership in SP_phi at (y, q) in the boundary of B^d x B^d: the
+    one-pair case of build_spphi_grid, which states the test."""
+    return build_spphi_grid(phi, [pair], mphi_grid, protocol).samples[0]
 
-    Member evidence is a sample (x, xi) near y at valid scales where both
-    the pointwise xi-degeneracy surrogate |grad_xi phi|^2 <x>^-2n
-    <xi>^-(2nu-2) is small (the point sits inside a neighborhood of the
-    M_phi fiber) and the analytic infimum of |grad_x phi - p| over the
-    p-neighborhood of q falls below c0 (<x>^(n-1) <xi>^nu + |p|).  The
-    stored M_phi grid seeds the search; coarse direction seeds plus a
-    walking refinement cover fibers that fall between grid cells."""
-    require_admissible(phi, protocol)
-    y, q = pair
-    if not (y.is_boundary or q.is_boundary):
-        raise ValueError("SP_phi queries live on the boundary of B^d x B^d")
+
+def _sp_sample(phi: PhaseFn, y: CompactPoint, state, delta: float, protocol):
+    """The q-free part of one SP_phi evaluation around the walk state
+    (cx, ck, xi): the side grids about y and xi centred at (cx, ck), grad_x
+    phi, <x>^(n-1) <xi>^nu and the degeneracy term m_pt."""
+    cx, ck, xi = state
     n, nu = phi.order
-    fiber = mphi_grid.fiber(y, protocol.fiber_radius)
-
-    seeds: List[CompactPoint] = [c.point[1] for c in fiber]
-    seeds.extend(sphere_like_seeds(phi.s))
-    seen = set()
-    uniq_seeds = []
-    for sd in seeds:
-        key = (sd.kind, tuple(np.round(sd.array, 6)))
-        if key not in seen:
-            seen.add(key)
-            uniq_seeds.append(sd)
-
     # only the top-half dyadic scales carry member evidence: sample there
-    sp_radii = np.asarray(protocol.radii[max(0, len(protocol.radii) // 2 - 1) :])
+    radii = protocol.radii[max(0, len(protocol.radii) // 2 - 1) :]
+    gx = side_grid(y, phi.d, protocol, center=cx, delta=delta, radii=radii)
+    gk = side_grid(xi, phi.s, protocol, center=ck, delta=delta, radii=radii)
+    X, K, valid = cross_sides(gx, gk)
+    gradx, gradk = phi.gradients(X, K)
+    bx, bk = japanese_bracket(X), japanese_bracket(K)
+    m_pt = np.sum(gradk * gradk, axis=0) * bx ** (-2.0 * n) * bk ** (2.0 - 2.0 * nu)
+    return state, y, gx, gk, valid, gradx, bx ** (n - 1.0) * bk ** nu, m_pt
 
-    def evaluate(seed_state, delta):
-        cx, ck, cfin, seed = seed_state
-        xi_center = cfin if cfin is not None else seed
-        gx = side_grid(y, phi.d, protocol, center_dir=cx, delta=delta, radii=sp_radii)
-        gk = side_grid(
-            xi_center, phi.s, protocol, center_dir=ck, delta=delta, radii=sp_radii
-        )
-        X, K, valid = cross_sides(gx, gk)
-        gradx, gradk = phi.gradients(X, K)
-        bx, bk = japanese_bracket(X), japanese_bracket(K)
-        m_pt = np.sum(gradk * gradk, axis=0) * bx ** (-2.0 * n) * bk ** (2.0 - 2.0 * nu)
-        if q.is_boundary:
-            dist, pnorm = _dist_to_cone(
-                gradx, q.array, protocol.delta, protocol.p_rho_valid
-            )
-        else:
-            dist, pnorm = _dist_to_ball(gradx, q.array, protocol.finite_radius)
-        denom = bx ** (n - 1.0) * bk ** nu + pnorm
-        rv = np.where(valid, np.maximum(dist / denom, m_pt), INF)
-        col = int(np.argmin(rv))
-        val = float(rv[col])
-        ix, ik = col // gk.count, col % gk.count
-        if y.is_boundary and gx.dirs is not None:
-            dvec = gx.dir_of(ix)
-            cx = dvec / np.linalg.norm(dvec)
-        if seed.is_boundary and gk.dirs is not None:
-            dvec = gk.dir_of(ik)
-            nrm = np.linalg.norm(dvec)
-            if nrm > 0:
-                ck = dvec / nrm
-        elif cfin is not None and gk.dirs is not None:
-            cfin = CompactPoint.finite(cfin.array + 0.5 * gk.dir_of(ik))
-        return val, (cx, ck, cfin, seed)
 
-    # screening pass at full radius, then walking refinement of the leaders
-    walk = max(protocol.delta, protocol.fiber_radius)
-    states = []
-    for seed in uniq_seeds:
-        cx = y.array if y.is_boundary else None
-        ck = seed.array if seed.is_boundary else None
-        cfin = None if seed.is_boundary else seed
-        val, st = evaluate((cx, ck, cfin, seed), walk)
-        states.append((val, st))
-    states.sort(key=lambda t: t[0])
-    best = states[0][0] if states else INF
-    deltas = [walk] * 3 + [
-        walk / 3.0**j for j in range(1, protocol.sp_refine_iters + 1)
-    ]
-    for val, st in states[:3]:
-        for delta in deltas:
-            val, st = evaluate(st, delta)
-            best = min(best, val)
-
-    c0 = protocol.c0
-    if best < 0.5 * c0:
-        label = "member"
-    elif best <= 2.0 * c0:
-        label = "margin"
+def _sp_score(sample, q: CompactPoint, protocol):
+    """The smallest ratio max(dist(grad_x phi, p-neighborhood of q) /
+    (<x>^(n-1) <xi>^nu + |p|), m_pt) over the valid points of a _sp_sample,
+    and the walk state recentred on the point that attains it."""
+    (cx, ck, xi), y, gx, gk, valid, gradx, weight, m_pt = sample
+    if q.is_boundary:
+        dist, pnorm = _dist_to_cone(gradx, q.array, protocol.delta, protocol.p_rho_valid)
     else:
-        label = "nonmember"
-    return SPphiSample(pair, label, best, len(fiber), protocol.echo())
+        dist, pnorm = _dist_to_ball(gradx, q.array, protocol.finite_radius)
+    rv = np.where(valid, np.maximum(dist / (weight + pnorm), m_pt), INF)
+    col = int(np.argmin(rv))
+    ix, ik = divmod(col, gk.count)
+    return float(rv[col]), (recentre(gx, ix, y, cx), recentre(gk, ik, xi, ck), xi)
 
 
 def sphere_like_seeds(s: int) -> List[CompactPoint]:
@@ -434,7 +382,50 @@ def build_spphi_grid(
     mphi_grid: MphiGrid,
     protocol: ScanProtocol = DEFAULT_PROTOCOL,
 ) -> SPphiGrid:
-    samples = [spphi_classify(phi, p, mphi_grid, protocol) for p in pairs]
+    """SP_phi membership of each pair (y, q) on the boundary of B^d x B^d.
+
+    Member evidence is a sample (x, xi) near y at valid scales where both
+    the pointwise xi-degeneracy surrogate |grad_xi phi|^2 <x>^-2n
+    <xi>^-(2nu-2) is small (the point sits inside a neighborhood of the
+    M_phi fiber) and the analytic infimum of |grad_x phi - p| over the
+    p-neighborhood of q falls below c0 (<x>^(n-1) <xi>^nu + |p|).  The
+    stored M_phi grid seeds the search; coarse direction seeds plus a
+    walking refinement cover fibers that fall between grid cells.
+
+    The fiber, the seeds and the screening samples depend on y alone, so
+    pairs that share y exactly share them; each q scores the screening and
+    walks its own three leaders."""
+    require_admissible(phi, protocol)
+    groups: dict = {}
+    for i, (y, q) in enumerate(pairs):
+        if not (y.is_boundary or q.is_boundary):
+            raise ValueError("SP_phi queries live on the boundary of B^d x B^d")
+        groups.setdefault((y.kind, y.array.tobytes()), []).append(i)
+    walk = max(protocol.delta, protocol.fiber_radius)
+    deltas = [walk] * 3 + [walk / 3.0**j for j in range(1, protocol.sp_refine_iters + 1)]
+    samples: list = [None] * len(pairs)
+    for idx in groups.values():
+        y = pairs[idx[0]][0]
+        fiber = mphi_grid.fiber(y, protocol.fiber_radius)
+        seeds = {}
+        for sd in [c.point[1] for c in fiber] + sphere_like_seeds(phi.s):
+            seeds.setdefault((sd.kind, tuple(np.round(sd.array, 6))), sd)
+        cx = y.array if y.is_boundary else None
+        screens: list = [[] for _ in idx]
+        for seed in seeds.values():
+            sample = _sp_sample(phi, y, (cx, seed.array, seed), walk, protocol)
+            for screen, i in zip(screens, idx):
+                screen.append(_sp_score(sample, pairs[i][1], protocol))
+        for screen, i in zip(screens, idx):
+            q = pairs[i][1]
+            screen.sort(key=lambda t: t[0])
+            best = screen[0][0]
+            for _, st in screen[:3]:
+                for delta in deltas:
+                    val, st = _sp_score(_sp_sample(phi, y, st, delta, protocol), q, protocol)
+                    best = min(best, val)
+            label = _LABELS[band(best, protocol.c0)]
+            samples[i] = SPphiSample(pairs[i], label, best, len(fiber), protocol.echo())
     return SPphiGrid(phi, samples, protocol)
 
 
@@ -475,13 +466,13 @@ def sp_angle_test(
     wsym = weighted_grad_x_sq_symbol(phi)
     taus = E * 2.0 ** np.arange(0, 7)
     min_angle = INF
+    gx = side_grid(y, phi.d, protocol)
     for cell in fiber:
         res = elliptic_at(wsym, (2 * n, 2 * nu), cell.point, protocol)
         if res.band(protocol.c0) == "below":
             raise StandingAssumptionError(
                 f"<x>^2|grad_x phi|^2 degenerates at fiber cell {cell.point}"
             )
-        gx = side_grid(y, phi.d, protocol)
         gk = side_grid(cell.point[1], phi.s, protocol, radii=taus)
         X, K, _ = cross_sides(gx, gk)
         grad = phi.grad_x(X, K)

@@ -10,7 +10,6 @@ parameters echoed into every report.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -26,7 +25,7 @@ from .compactify import (
     sphere_grid,
 )
 from .exprparse import parse_expression
-from .jets import Jet, jet_variables
+from .jets import Jet, jet_space, jet_variables
 
 INF = math.inf
 
@@ -246,54 +245,62 @@ DEFAULT_PROTOCOL = ScanProtocol()
 class _SideGrid:
     """Samples for one factor of B^d x B^s around a compact point."""
 
-    def __init__(self, points, valid, dirs, n_radii):
+    def __init__(self, points, valid, dirs):
         self.points = points  # (k, N)
         self.valid = valid  # (N,)
         self.dirs = dirs  # (Dk, k) or None
-        self.n_radii = n_radii
 
     @property
     def count(self):
         return self.points.shape[1]
 
-    def dir_of(self, col: int):
-        if self.dirs is None:
-            return None
-        return self.dirs[col % len(self.dirs)]
-
 
 def _empty_side() -> _SideGrid:
-    return _SideGrid(np.zeros((0, 1)), np.array([True]), None, 1)
+    return _SideGrid(np.zeros((0, 1)), np.array([True]), None)
 
 
 def side_grid(
     pt: Optional[CompactPoint],
     k: int,
     protocol: ScanProtocol,
-    center_dir=None,
+    center=None,
     delta=None,
     radii=None,
 ) -> _SideGrid:
+    """Samples around pt on one side: dyadic radii times a ball of
+    directions for a boundary point, a small Euclidean ball for a finite
+    one.  The ball sits at `center` (a direction or a point) when given, at
+    pt otherwise."""
     if k == 0 or pt is None:
         return _empty_side()
     delta = protocol.delta if delta is None else delta
+    center = pt.array if center is None else center
     if pt.is_boundary:
-        dirs = direction_ball(
-            center_dir if center_dir is not None else pt.array,
-            delta,
-            n_ring=protocol.n_ring,
-        )
+        dirs = direction_ball(center, delta, n_ring=protocol.n_ring)
         radii = np.asarray(protocol.radii if radii is None else radii, dtype=float)
         pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, k).T
         thresh = radii[int(len(radii) * protocol.valid_fraction)] if len(radii) > 1 else radii[0]
         vr = radii >= thresh
         valid = np.repeat(vr, len(dirs))
-        return _SideGrid(pts, valid, dirs, len(radii))
+        return _SideGrid(pts, valid, dirs)
     offs = euclidean_ball(
-        np.zeros(k), protocol.finite_radius if delta is None else min(protocol.finite_radius, delta), n_ring=protocol.n_ring
+        np.zeros(k), min(protocol.finite_radius, delta), n_ring=protocol.n_ring
     )
-    base = pt.array[:, None] + offs.T
-    return _SideGrid(base, np.ones(base.shape[1], bool), offs, 1)
+    base = center[:, None] + offs.T
+    return _SideGrid(base, np.ones(base.shape[1], bool), offs)
+
+
+def recentre(side: _SideGrid, col: int, pt: Optional[CompactPoint], c):
+    """Centre of a walk's next grid on one side, after its best sample sat
+    in column col of `side` around pt: that sample's unit direction on a
+    boundary side, c moved half way to the sample on a finite side.  A side
+    whose centre c is None does not walk."""
+    if c is None:
+        return None
+    off = side.dirs[col % len(side.dirs)]
+    if pt.is_boundary:
+        return off / np.linalg.norm(off)
+    return c + 0.5 * off
 
 
 def cross_sides(gx: _SideGrid, gk: _SideGrid):
@@ -328,6 +335,16 @@ def scaled_ratio(a: SymbolFn, order, X, K) -> np.ndarray:
 # -- ellipticity --------------------------------------------------------------
 
 
+def band(ratio: float, c0: float) -> str:
+    """Where a sampled minimum ratio sits against the threshold c0: below
+    c0/2, straddling [c0/2, 2 c0], or above 2 c0."""
+    if ratio < 0.5 * c0:
+        return "below"
+    if ratio <= 2.0 * c0:
+        return "straddle"
+    return "above"
+
+
 @dataclass
 class EllipticityResult:
     ok: bool
@@ -339,11 +356,7 @@ class EllipticityResult:
     samples: int
 
     def band(self, c0: float) -> str:
-        if self.min_ratio < 0.5 * c0:
-            return "below"
-        if self.min_ratio <= 2.0 * c0:
-            return "straddle"
-        return "above"
+        return band(self.min_ratio, c0)
 
     def to_json(self) -> dict:
         return {
@@ -379,8 +392,8 @@ def elliptic_at(
     best_all = INF
     total = 0
     for _ in range(protocol.refine_iters + 1):
-        gx = side_grid(px, a.d, protocol, center_dir=cx, delta=delta)
-        gk = side_grid(pk, a.s, protocol, center_dir=ck, delta=delta)
+        gx = side_grid(px, a.d, protocol, center=cx, delta=delta)
+        gk = side_grid(pk, a.s, protocol, center=ck, delta=delta)
         X, K, valid = cross_sides(gx, gk)
         r = scaled_ratio(a, order, X, K)
         total += r.size
@@ -389,13 +402,8 @@ def elliptic_at(
             rv = np.where(valid, r, INF)
             col = int(np.argmin(rv))
             best = min(best, float(rv[col]))
-            ix, ik = col // gk.count, col % gk.count
-            if gx.dirs is not None and px.is_boundary:
-                d = gx.dir_of(ix)
-                cx = d / np.linalg.norm(d)
-            if gk.dirs is not None and pk is not None and pk.is_boundary:
-                d = gk.dir_of(ik)
-                ck = d / np.linalg.norm(d)
+            ix, ik = divmod(col, gk.count)
+            cx, ck = recentre(gx, ix, px, cx), recentre(gk, ik, pk, ck)
         delta /= 3.0
     return EllipticityResult(
         ok=best >= protocol.c0,
@@ -458,15 +466,7 @@ def globally_elliptic(
 
 
 def _deriv_pairs(d: int, s: int, p: int):
-    alphas = [g for g in itertools.product(range(p + 1), repeat=d) if sum(g) <= p]
-    betas = [g for g in itertools.product(range(p + 1), repeat=s) if sum(g) <= p] or [()]
-    out = []
-    for al in alphas:
-        for be in betas:
-            if sum(al) + sum(be) <= p:
-                out.append((al, be))
-    out.sort(key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab))
-    return out
+    return [(g[:d], g[d:]) for g in jet_space(d + s, p).indices]
 
 
 @dataclass

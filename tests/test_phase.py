@@ -20,7 +20,7 @@ from sgosc.phase import (
     sp_angle_test,
     spphi_classify,
 )
-from sgosc.symbols import DEFAULT_PROTOCOL, parse_symbol_expr
+from sgosc.symbols import DEFAULT_PROTOCOL, SymbolFn, parse_symbol_expr
 from sgosc.wavefront import WfSet
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -265,6 +265,26 @@ def test_grids_classify_cells_in_input_order(kg11):
     assert build_mphi_grid(kg11, []).lookup(pair) is None
     assert build_spphi_grid(kg11, [], mgrid).lookup(pair) is None
     assert WfSet([], None, 1.0).lookup(*pair) is None
+
+
+def test_spphi_screens_each_position_once(kg11, monkeypatch):
+    """Cells that share y share the fiber seeds' screening: one gradient
+    evaluation per seed for the whole group, then 3 leaders walked per q."""
+    d_dirs, s_dirs = sphere_grid(2, 8), sphere_grid(1, 8)
+    mgrid = build_mphi_grid(kg11, boundary_pairs(d_dirs, s_dirs, [[0, 0]], [[0]]))
+    y = CompactPoint.direction([1.0, 1.0])
+    pairs = [(y, CompactPoint.direction(q)) for q in sphere_grid(2, 4)]
+    calls = []
+    gradients = SymbolFn.gradients
+
+    def counted(self, x, xi=None):
+        calls.append(1)
+        return gradients(self, x, xi)
+
+    monkeypatch.setattr(SymbolFn, "gradients", counted)
+    build_spphi_grid(kg11, pairs, mgrid)
+    seeds = 11
+    assert len(calls) == seeds + 4 * 3 * (3 + DEFAULT_PROTOCOL.sp_refine_iters) == 83
 
 
 def _unit(v):
