@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sgosc.catalog import KgSpec, gaussian_amplitude, sep_power_phase
-from sgosc.compactify import CompactPoint
+from sgosc.compactify import CompactPoint, sphere_grid
 from sgosc.jets import jet_variables
 from sgosc.oscint import SchwartzFn
 from sgosc.phase import PhaseFn, check_admissible
@@ -205,6 +207,33 @@ def test_Qp_residual_and_refusal():
             CompactPoint.direction([-1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]),
             CompactPoint.direction([1.0]),
         )
+
+
+def test_regularizer_refusals_pinned():
+    """Bitwise pin of build_Q and build_Qp on kg11: min_ratio.hex() of each
+    construction, or the refusal's message, over finite and boundary cone
+    supports and over direction and finite covariable regions."""
+    phi = KgSpec(1.0, 1).phase()
+    check_admissible(phi)
+    fin, dirn = CompactPoint.finite, CompactPoint.direction
+    h = hashlib.sha256()
+
+    def record(build, *args):
+        try:
+            h.update(f"{build(phi, *args).min_ratio.hex()}\n".encode())
+        except RegularizerRefused as err:
+            h.update(f"refused {err}\n".encode())
+
+    for x in ([3.0, 0.0], [0.0, 0.0]):
+        for xi in sphere_grid(1, 4):
+            record(build_Q, ConeLocalizer(fin(x), dirn(xi)))
+    for xi_region in (dirn(sphere_grid(1, 4)[0]), fin([0.5])):
+        for y in sphere_grid(2, 4):
+            for q in sphere_grid(2, 4):
+                record(build_Qp, dirn(y), dirn(q), xi_region)
+    assert h.hexdigest() == (
+        "fca8dc37eda4ac104fd23e41c365b82e681712156aca268d5741b61bec460f68"
+    )
 
 
 def test_all_three_adjoint_identities_on_random_points():
