@@ -220,7 +220,7 @@ def mphi_classify(
     require_admissible(phi, protocol)
     n, nu = phi.order
     res = elliptic_at(grad_xi_sq_symbol(phi), (2 * n, 2 * nu - 2), pair, protocol)
-    return MphiSample(pair, _LABELS[res.band(protocol.c0)], res.min_ratio, protocol.echo())
+    return MphiSample(pair, _LABELS[res.band(protocol.c0)], res.min_ratio, res.protocol)
 
 
 class ClassifiedGrid:
@@ -326,27 +326,26 @@ def _sp_sample(phi: PhaseFn, y: CompactPoint, state, delta: float, protocol):
     phi, <x>^(n-1) <xi>^nu and the degeneracy term m_pt."""
     cx, ck, xi = state
     n, nu = phi.order
-    # only the top-half dyadic scales carry member evidence: sample there
-    radii = protocol.radii[max(0, len(protocol.radii) // 2 - 1) :]
+    radii = protocol.evidence_radii(protocol.radii[max(0, len(protocol.radii) // 2 - 1) :])
     gx = side_grid(y, phi.d, protocol, center=cx, delta=delta, radii=radii)
     gk = side_grid(xi, phi.s, protocol, center=ck, delta=delta, radii=radii)
-    X, K, valid = cross_sides(gx, gk)
+    X, K = cross_sides(gx, gk)
     gradx, gradk = phi.gradients(X, K)
     bx, bk = japanese_bracket(X), japanese_bracket(K)
     m_pt = np.sum(gradk * gradk, axis=0) * bx ** (-2.0 * n) * bk ** (2.0 - 2.0 * nu)
-    return state, y, gx, gk, valid, gradx, bx ** (n - 1.0) * bk ** nu, m_pt
+    return state, y, gx, gk, gradx, bx ** (n - 1.0) * bk ** nu, m_pt
 
 
 def _sp_score(sample, q: CompactPoint, protocol):
     """The smallest ratio max(dist(grad_x phi, p-neighborhood of q) /
-    (<x>^(n-1) <xi>^nu + |p|), m_pt) over the valid points of a _sp_sample,
-    and the walk state recentred on the point that attains it."""
-    (cx, ck, xi), y, gx, gk, valid, gradx, weight, m_pt = sample
+    (<x>^(n-1) <xi>^nu + |p|), m_pt) over the points of a _sp_sample, and
+    the walk state recentred on the point that attains it."""
+    (cx, ck, xi), y, gx, gk, gradx, weight, m_pt = sample
     if q.is_boundary:
         dist, pnorm = _dist_to_cone(gradx, q.array, protocol.delta, protocol.p_rho_valid)
     else:
         dist, pnorm = _dist_to_ball(gradx, q.array, protocol.finite_radius)
-    rv = np.where(valid, np.maximum(dist / (weight + pnorm), m_pt), INF)
+    rv = np.maximum(dist / (weight + pnorm), m_pt)
     col = int(np.argmin(rv))
     ix, ik = divmod(col, gk.count)
     return float(rv[col]), (recentre(gx, ix, y, cx), recentre(gk, ik, xi, ck), xi)
@@ -384,13 +383,17 @@ def build_spphi_grid(
 ) -> SPphiGrid:
     """SP_phi membership of each pair (y, q) on the boundary of B^d x B^d.
 
-    Member evidence is a sample (x, xi) near y at valid scales where both
-    the pointwise xi-degeneracy surrogate |grad_xi phi|^2 <x>^-2n
-    <xi>^-(2nu-2) is small (the point sits inside a neighborhood of the
-    M_phi fiber) and the analytic infimum of |grad_x phi - p| over the
-    p-neighborhood of q falls below c0 (<x>^(n-1) <xi>^nu + |p|).  The
-    stored M_phi grid seeds the search; coarse direction seeds plus a
-    walking refinement cover fibers that fall between grid cells.
+    Member evidence is a sample (x, xi) near y where both the pointwise
+    xi-degeneracy surrogate |grad_xi phi|^2 <x>^-2n <xi>^-(2nu-2) is small
+    (the point sits inside a neighborhood of the M_phi fiber) and the
+    analytic infimum of |grad_x phi - p| over the p-neighborhood of q falls
+    below c0 (<x>^(n-1) <xi>^nu + |p|).  The stored M_phi grid seeds the
+    search; coarse direction seeds plus a walking refinement cover fibers
+    that fall between grid cells.
+
+    Samples sit only at SP's evidence scales, evidence_radii of the radii
+    from position len // 2 - 1 on: 2^12..2^14, the top three of the default
+    2^5..2^14, where elliptic_at and the regularizers take 2^10..2^14.
 
     The fiber, the seeds and the screening samples depend on y alone, so
     pairs that share y exactly share them; each q scores the screening and
@@ -474,7 +477,7 @@ def sp_angle_test(
                 f"<x>^2|grad_x phi|^2 degenerates at fiber cell {cell.point}"
             )
         gk = side_grid(cell.point[1], phi.s, protocol, radii=taus)
-        X, K, _ = cross_sides(gx, gk)
+        X, K = cross_sides(gx, gk)
         grad = phi.grad_x(X, K)
         ng = np.linalg.norm(grad, axis=0)
         cosang = np.tensordot(omega.array, grad, axes=(0, 0)) / np.where(

@@ -247,10 +247,12 @@ class ConeLocalizer:
     xi_part: CompactPoint
 
     def support_samples(self, d: int, s: int, protocol: ScanProtocol):
-        gx = side_grid(self.x_part, d, protocol)
-        gk = side_grid(self.xi_part, s, protocol)
-        X, K, valid = cross_sides(gx, gk)
-        return X, K, valid
+        """(X, K) on the cone support at the protocol's evidence scales."""
+        radii = protocol.evidence_radii()
+        return cross_sides(
+            side_grid(self.x_part, d, protocol, radii=radii),
+            side_grid(self.xi_part, s, protocol, radii=radii),
+        )
 
 
 @dataclass
@@ -315,9 +317,8 @@ def build_Q(
     require_admissible(phi, protocol)
     n, nu = phi.order
 
-    X, K, valid = localizer.support_samples(phi.d, phi.s, protocol)
-    ratios = scaled_ratio(grad_xi_sq_symbol(phi), (2 * n, 2 * nu - 2), X, K)
-    mn = float(np.min(np.where(valid, ratios, math.inf)))
+    X, K = localizer.support_samples(phi.d, phi.s, protocol)
+    mn = float(np.min(scaled_ratio(grad_xi_sq_symbol(phi), (2 * n, 2 * nu - 2), X, K)))
     if mn < protocol.c0:
         raise RegularizerRefused(
             f"|grad_xi phi|^2 loses ellipticity on the localizer (min ratio {mn:.3g})"
@@ -365,25 +366,21 @@ def build_Qp(
     require_admissible(phi, protocol)
     n, nu = phi.order
 
-    gx = side_grid(y, phi.d, protocol)
-    gk = side_grid(xi_region, phi.s, protocol)
-    X, K, valid = cross_sides(gx, gk)
+    X, K = ConeLocalizer(y, xi_region).support_samples(phi.d, phi.s, protocol)
     g = phi.grad_x(X, K)
+    weight = japanese_bracket(X) ** (n - 1.0) * japanese_bracket(K) ** nu
     worst = math.inf
     if q.is_boundary:
         # exact infimum over the covariable cone (projection onto the ray),
         # plus the recorded dyadic sweep
         dist, pnorm = _dist_to_cone(g, q.array, protocol.delta, 1.0)
-        denom = japanese_bracket(X) ** (n - 1.0) * japanese_bracket(K) ** nu + pnorm
-        worst = float(np.min(np.where(valid, dist / denom, math.inf)))
+        worst = float(np.min(dist / (weight + pnorm)))
         ps = [rho * q.array for rho in (2.0 ** np.arange(0, 11))]
     else:
         ps = list(euclidean_ball(q.array, protocol.finite_radius))
     for p in ps:
         dist = np.linalg.norm(g - np.asarray(p)[:, None], axis=0)
-        denom = japanese_bracket(X) ** (n - 1.0) * japanese_bracket(K) ** nu + np.linalg.norm(p)
-        ratio = np.where(valid, dist / denom, math.inf)
-        worst = min(worst, float(np.min(ratio)))
+        worst = min(worst, float(np.min(dist / (weight + np.linalg.norm(p)))))
     if worst < protocol.c0:
         raise RegularizerRefused(
             f"eta_p bound fails on the cone support (min ratio {worst:.3g})"

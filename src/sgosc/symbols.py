@@ -224,6 +224,15 @@ class ScanProtocol:
         counts = {1: 2, 2: self.ndirs, 3: 3 * self.ndirs, 4: 6 * self.ndirs}
         return sphere_grid(k, counts.get(k, 6 * self.ndirs))
 
+    def evidence_radii(self, radii=None) -> np.ndarray:
+        """The radii (the protocol's own by default) that carry member
+        evidence: those at or above radii[int(len * valid_fraction)], or the
+        one radius there is."""
+        radii = np.asarray(self.radii if radii is None else radii, dtype=float)
+        if len(radii) > 1:
+            radii = radii[radii >= radii[int(len(radii) * self.valid_fraction)]]
+        return radii
+
     def replace(self, **kw) -> "ScanProtocol":
         return dataclasses.replace(self, **kw)
 
@@ -245,9 +254,8 @@ DEFAULT_PROTOCOL = ScanProtocol()
 class _SideGrid:
     """Samples for one factor of B^d x B^s around a compact point."""
 
-    def __init__(self, points, valid, dirs):
+    def __init__(self, points, dirs):
         self.points = points  # (k, N)
-        self.valid = valid  # (N,)
         self.dirs = dirs  # (Dk, k) or None
 
     @property
@@ -256,7 +264,7 @@ class _SideGrid:
 
 
 def _empty_side() -> _SideGrid:
-    return _SideGrid(np.zeros((0, 1)), np.array([True]), None)
+    return _SideGrid(np.zeros((0, 1)), None)
 
 
 def side_grid(
@@ -267,10 +275,10 @@ def side_grid(
     delta=None,
     radii=None,
 ) -> _SideGrid:
-    """Samples around pt on one side: dyadic radii times a ball of
-    directions for a boundary point, a small Euclidean ball for a finite
-    one.  The ball sits at `center` (a direction or a point) when given, at
-    pt otherwise."""
+    """Samples around pt on one side: the given radii (the protocol's
+    dyadic radii by default) times a ball of directions for a boundary
+    point, a small Euclidean ball for a finite one.  The ball sits at
+    `center` (a direction or a point) when given, at pt otherwise."""
     if k == 0 or pt is None:
         return _empty_side()
     delta = protocol.delta if delta is None else delta
@@ -279,15 +287,12 @@ def side_grid(
         dirs = direction_ball(center, delta, n_ring=protocol.n_ring)
         radii = np.asarray(protocol.radii if radii is None else radii, dtype=float)
         pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, k).T
-        thresh = radii[int(len(radii) * protocol.valid_fraction)] if len(radii) > 1 else radii[0]
-        vr = radii >= thresh
-        valid = np.repeat(vr, len(dirs))
-        return _SideGrid(pts, valid, dirs)
+        return _SideGrid(pts, dirs)
     offs = euclidean_ball(
         np.zeros(k), min(protocol.finite_radius, delta), n_ring=protocol.n_ring
     )
     base = center[:, None] + offs.T
-    return _SideGrid(base, np.ones(base.shape[1], bool), offs)
+    return _SideGrid(base, offs)
 
 
 def recentre(side: _SideGrid, col: int, pt: Optional[CompactPoint], c):
@@ -307,8 +312,7 @@ def cross_sides(gx: _SideGrid, gk: _SideGrid):
     nx, nk = gx.count, gk.count
     X = np.repeat(gx.points, nk, axis=1)
     K = np.tile(gk.points, nx)
-    valid = np.repeat(gx.valid, nk) & np.tile(gk.valid, nx)
-    return X, K, valid
+    return X, K
 
 
 # -- weight helpers ----------------------------------------------------------
@@ -349,7 +353,6 @@ def band(ratio: float, c0: float) -> str:
 class EllipticityResult:
     ok: bool
     min_ratio: float
-    min_ratio_all: float
     order: tuple
     point: tuple
     protocol: dict
@@ -362,7 +365,6 @@ class EllipticityResult:
         return {
             "ok": bool(self.ok),
             "min_ratio": float(self.min_ratio),
-            "min_ratio_all": float(self.min_ratio_all),
             "order": list(self.order),
             "samples": int(self.samples),
             "protocol": self.protocol,
@@ -379,8 +381,8 @@ def elliptic_at(
 
     The pair is (CompactPoint on B^d side, CompactPoint on B^s side or None);
     at least one side must be a boundary direction.  Direction balls are
-    refined around the running minimizer; membership-grade evidence counts
-    only on the top-half dyadic scales.
+    refined around the running minimizer; only the scales that carry
+    membership-grade evidence, protocol.evidence_radii(), are sampled.
     """
     px, pk = pair
     if (px is None or not px.is_boundary) and (pk is None or not pk.is_boundary):
@@ -388,27 +390,23 @@ def elliptic_at(
     cx = px.array if (px is not None and px.is_boundary) else None
     ck = pk.array if (pk is not None and pk.is_boundary) else None
     delta = protocol.delta
+    radii = protocol.evidence_radii()
     best = INF
-    best_all = INF
     total = 0
     for _ in range(protocol.refine_iters + 1):
-        gx = side_grid(px, a.d, protocol, center=cx, delta=delta)
-        gk = side_grid(pk, a.s, protocol, center=ck, delta=delta)
-        X, K, valid = cross_sides(gx, gk)
+        gx = side_grid(px, a.d, protocol, center=cx, delta=delta, radii=radii)
+        gk = side_grid(pk, a.s, protocol, center=ck, delta=delta, radii=radii)
+        X, K = cross_sides(gx, gk)
         r = scaled_ratio(a, order, X, K)
         total += r.size
-        best_all = min(best_all, float(r.min()))
-        if np.any(valid):
-            rv = np.where(valid, r, INF)
-            col = int(np.argmin(rv))
-            best = min(best, float(rv[col]))
-            ix, ik = divmod(col, gk.count)
-            cx, ck = recentre(gx, ix, px, cx), recentre(gk, ik, pk, ck)
+        col = int(np.argmin(r))
+        best = min(best, float(r[col]))
+        ix, ik = divmod(col, gk.count)
+        cx, ck = recentre(gx, ix, px, cx), recentre(gk, ik, pk, ck)
         delta /= 3.0
     return EllipticityResult(
         ok=best >= protocol.c0,
         min_ratio=best,
-        min_ratio_all=best_all,
         order=order_pair(order),
         point=pair,
         protocol=protocol.echo(),
@@ -454,7 +452,6 @@ def globally_elliptic(
     return EllipticityResult(
         ok=mn >= protocol.c0,
         min_ratio=mn,
-        min_ratio_all=mn,
         order=order_pair(order),
         point=(None, None),
         protocol=protocol.echo(),

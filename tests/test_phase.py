@@ -278,13 +278,34 @@ def test_spphi_screens_each_position_once(kg11, monkeypatch):
     gradients = SymbolFn.gradients
 
     def counted(self, x, xi=None):
-        calls.append(1)
+        calls.append(x.shape[1])
         return gradients(self, x, xi)
 
     monkeypatch.setattr(SymbolFn, "gradients", counted)
     build_spphi_grid(kg11, pairs, mgrid)
     seeds = 11
     assert len(calls) == seeds + 4 * 3 * (3 + DEFAULT_PROTOCOL.sp_refine_iters) == 83
+    # only SP's evidence scales are sampled
+    assert sum(calls) == 5805
+
+
+def test_mphi_samples_only_the_evidence_scales(kg4, monkeypatch):
+    """Each of elliptic_at's 3 passes hands phi's gradient jets the side
+    grids at the 5 evidence radii of the 10 dyadic ones: a quarter of the
+    columns where both sides are boundary, half where x is finite."""
+    widths = []
+    gradient_jets = SymbolFn.gradient_jets
+
+    def counted(self, x, xi, order):
+        widths.append(x.shape[1])
+        return gradient_jets(self, x, xi, order)
+
+    monkeypatch.setattr(SymbolFn, "gradient_jets", counted)
+    fin, dirn = CompactPoint.finite, CompactPoint.direction
+    for x, want in ((dirn([1.0, 1.0, 0, 0]), 4225), (fin([1.0, 1.0, 0, 0]), 1625)):
+        widths.clear()
+        mphi_classify(kg4, (x, dirn([1.0, 0, 0])))
+        assert widths == 3 * [want]
 
 
 def _unit(v):
