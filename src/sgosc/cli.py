@@ -213,9 +213,12 @@ def _protocol_overrides(config: dict, keys) -> dict:
 
 def _protocol_from(config: dict) -> ScanProtocol:
     kw = _protocol_overrides(config, ScanProtocol.__dataclass_fields__)
-    for key in ("radii", "base_radii", "small_radii", "admiss_radii"):
-        if key in kw:
-            kw[key] = tuple(kw[key])
+    # every field is checked on its own, so one override at a time names the bad key
+    for k, v in kw.items():
+        try:
+            DEFAULT_PROTOCOL.replace(**{k: v})
+        except ValueError as e:
+            raise ValidationFailure(str(e), pointer=f"/protocol/{k}") from None
     return DEFAULT_PROTOCOL.replace(**kw) if kw else DEFAULT_PROTOCOL
 
 

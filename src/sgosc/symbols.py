@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -199,6 +200,10 @@ def parse_symbol_expr(text: str, dims, order, allow_division: bool = False) -> S
 _DYADIC = tuple(float(2**k) for k in range(5, 15))
 
 
+def _is_finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class ScanProtocol:
     """Recorded parameters of every ellipticity / order semi-decision."""
@@ -219,6 +224,33 @@ class ScanProtocol:
     fiber_radius: float = 0.15
     p_rho_valid: float = 32.0
     sp_refine_iters: int = 3
+
+    def __post_init__(self):
+        for name in ("c0", "delta", "finite_radius", "order_tol", "fiber_radius", "p_rho_valid"):
+            v = getattr(self, name)
+            if not (_is_finite_real(v) and v > 0):
+                raise ValueError(f"ScanProtocol.{name} must be finite and > 0, got {v!r}")
+        v = self.valid_fraction
+        if not (_is_finite_real(v) and 0 <= v < 1):
+            raise ValueError(f"ScanProtocol.valid_fraction must be in [0, 1), got {v!r}")
+        # the near sweeps (base, small) start at radius 0; the scales may not
+        for name in ("radii", "base_radii", "small_radii", "admiss_radii"):
+            v = getattr(self, name)
+            near = name in ("base_radii", "small_radii")
+            radii = tuple(v) if isinstance(v, (tuple, list, np.ndarray)) else ()
+            ok = [_is_finite_real(r) and (r >= 0 if near else r > 0) for r in radii]
+            if not (ok and all(ok)):
+                what = "nonnegative" if near else "positive"
+                raise ValueError(
+                    f"ScanProtocol.{name} must be a non-empty sequence of finite {what} "
+                    f"radii, got {v!r}"
+                )
+            # hashable: the protocol keys cached answers
+            object.__setattr__(self, name, radii)
+        for name, lo in (("ndirs", 1), ("n_ring", 1), ("refine_iters", 0), ("sp_refine_iters", 0)):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo):
+                raise ValueError(f"ScanProtocol.{name} must be an integer >= {lo}, got {v!r}")
 
     def dirs(self, k: int) -> np.ndarray:
         counts = {1: 2, 2: self.ndirs, 3: 3 * self.ndirs, 4: 6 * self.ndirs}

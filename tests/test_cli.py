@@ -274,6 +274,42 @@ def test_unknown_protocol_key_exits_2(tmp_path, capsys, cfg, key):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"valid_fraction": 1.0}, {"c0": "nan"}, {"ndirs": 0}, {"radii": []}, {"radii": [32.0, -1.0]}],
+)
+def test_scan_protocol_bad_value_exits_2(tmp_path, capsys, bad):
+    """A ScanProtocol value it cannot honour is a validation error that
+    points at its key; valid_fraction 1.0 used to exit 1 with a traceback."""
+    cfg = {
+        "command": "mphi",
+        "phase": "kg11",
+        "grid": {"n_dirs": 4},
+        "protocol": {"c0": 1e-3, **bad},
+        "out_csv": str(tmp_path / "m.csv"),
+    }
+    assert run(cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    key = next(iter(bad))
+    assert err["pointer"] == f"/protocol/{key}" and f"ScanProtocol.{key}" in err["error"]
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_scan_protocol_list_overrides_accepted(tmp_path):
+    """JSON lists of radii become the protocol's tuples, echoed as lists."""
+    cfg = {
+        "command": "mphi",
+        "phase": "kg11",
+        "grid": {"n_dirs": 4, "finite_x": [[0.0, 0.0]], "finite_xi": [[0.0]]},
+        "protocol": {"radii": [256.0, 512.0, 1024.0]},
+        "out_csv": str(tmp_path / "m.csv"),
+        "out_json": str(tmp_path / "m.json"),
+    }
+    assert run(cfg) == 0
+    echo = json.loads((tmp_path / "m.json").read_text())["protocol"]
+    assert echo["radii"] == [256.0, 512.0, 1024.0]
+
+
 def test_wf_protocol_extras_accepted(tmp_path):
     cfg = {
         "command": "wf-scan",

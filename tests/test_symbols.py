@@ -95,6 +95,48 @@ def test_reports_echo_protocol():
     assert res.to_json()["ok"]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"valid_fraction": 1.0},  # radii[10] of 10 radii: an IndexError
+        {"valid_fraction": -0.5},  # radii[-5]: the scales of 0.5
+        {"valid_fraction": math.nan},
+        {"c0": math.nan},
+        {"c0": -1.0},
+        {"delta": 0.0},
+        {"fiber_radius": math.inf},
+        {"p_rho_valid": "32"},
+        {"ndirs": 0},
+        {"ndirs": 16.0},
+        {"n_ring": True},
+        {"refine_iters": -1},
+        {"radii": ()},
+        {"radii": (0.0, 32.0)},
+        {"radii": (32.0, math.nan)},
+        {"admiss_radii": 2.0},
+        {"base_radii": (-1.0, 0.0)},
+        {"small_radii": ()},
+    ],
+)
+def test_scan_protocol_refuses_what_it_cannot_honour(bad):
+    """Each field is checked when the protocol is built, and the refusal
+    names it: before, valid_fraction 1.0 raised an IndexError in the first
+    scan, -0.5 selected the scales of 0.5, and c0 = nan, ndirs = 0 and
+    radii = () were accepted."""
+    key = next(iter(bad))
+    with pytest.raises(ValueError, match=rf"^ScanProtocol\.{key} must"):
+        DEFAULT_PROTOCOL.replace(**bad)
+
+
+def test_scan_protocol_records_sequences_as_tuples():
+    """A list of radii (as from a JSON config) is kept as a tuple, so the
+    protocol stays hashable and equal to the one built from the tuple."""
+    p = DEFAULT_PROTOCOL.replace(radii=[32.0, 64.0], base_radii=[0.0, 1.0])
+    assert p.radii == (32.0, 64.0) and p.base_radii == (0.0, 1.0)
+    assert hash(p) == hash(DEFAULT_PROTOCOL.replace(radii=(32.0, 64.0), base_radii=(0.0, 1.0)))
+    assert DEFAULT_PROTOCOL.replace(refine_iters=0, sp_refine_iters=0).refine_iters == 0
+
+
 def test_infinite_orders_are_labels_only():
     gauss = gaussian_amplitude(1, 1)
     assert gauss.order == (-math.inf, -math.inf)
