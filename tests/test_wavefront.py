@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from sgosc.compactify import CompactPoint, ball_distance, sphere_grid
 from sgosc.synth import PrescribedWfSpec, make_fk, make_g, make_prescribed
 from sgosc.wavefront import (
+    LIVE_ROW_FLOOR,
     EvaluableDistribution,
     WfProtocol,
     _bilinear,
@@ -351,6 +353,18 @@ def test_wf_scan_refuses_a_nan_on_the_scan_grid():
         wf_scan(u, proto)
 
 
+def test_wf_scan_refuses_a_nan_written_into_grid_samples():
+    """A complex sample array is kept, not copied, so a NaN written into it
+    after the build reaches the scan, which reads the samples directly on
+    their own grid and refuses it there."""
+    v = np.ones((64, 64), dtype=complex)
+    u = grid_sampled_distribution(v, 16.0)
+    v[10, 10] = np.nan
+    proto = WfProtocol.make(2, box=16.0, ngrid=64, n_dirs=4, classical_centers=[(0.0, 0.0)])
+    with pytest.raises(ValueError, match=r"grid is not finite .* x = \(-10\.75, -10\.75\), the first of 1 "):
+        wf_scan(u, proto)
+
+
 def test_grid_sampled_distribution_reads_its_last_row_and_column():
     """The evaluator kept only cells 0 <= i0 < n - 1, so row 7 and column 7
     of this 8x8 grid read 0 at their own sample points."""
@@ -362,6 +376,42 @@ def test_grid_sampled_distribution_reads_its_last_row_and_column():
     assert np.array_equal(u.values(X).reshape(n, n), v)
     # past the last sample, as before the first, it is zero
     assert np.array_equal(u.values(np.array([[x[-1] + 0.1, x[0] - 0.1], [0.0, 0.0]])), [0, 0])
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64)])
+def test_wf_scan_reads_grid_samples_on_their_own_grid(d, n):
+    """On its own grid (dx = 2L/n a power of 2, so the interpolation reads
+    each sample exactly), a grid-sampled distribution is scanned from its
+    samples without evaluating it, bit for bit as the same evaluator
+    without samples.  On another ngrid or box it is still interpolated."""
+    L = 16.0
+    u = grid_sampled_distribution(_random_grid(d, n, True), L)
+    evaluated = []
+    interpolate = u.evaluator
+
+    def evaluator(X):
+        evaluated.append(X.shape[1])
+        return interpolate(X)
+
+    u.evaluator = evaluator
+    plain = EvaluableDistribution(d, evaluator, source="grid")
+    assert plain.grid is None
+    proto = WfProtocol.make(d, box=L, ngrid=n, n_dirs=4, classical_centers=[(0.0,) * d])
+    assert _wf_digest(wf_scan(u, proto)) == _wf_digest(wf_scan(plain, proto))
+    assert evaluated == [n**d]
+    for other in (proto.replace(ngrid=2 * n), proto.replace(box=2 * L)):
+        evaluated.clear()
+        assert _wf_digest(wf_scan(u, other)) == _wf_digest(wf_scan(plain, other))
+        assert evaluated == [other.ngrid**d] * 2
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1), (1,), (8, 1), ()])
+def test_grid_sampled_distribution_refuses_grids_it_would_misread(shape):
+    """The evaluator takes n from the first axis for every axis and
+    interpolates between neighbours: a (3, 4) grid of ones read 0 at 8 of
+    its 12 sample points, and a one-sample grid read 0 at its own sample."""
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        grid_sampled_distribution(np.ones(shape), 4.0)
 
 
 def _wf_digest(wf):
@@ -470,7 +520,9 @@ def test_windowed_magnitudes_equal_full_transform(d, n, complex_u):
     """The pruned probe magnitudes equal, bit for bit, the full transform:
     fftn, fftshift, abs scaled by dx^d / mass, then `_bilinear` at each
     probe's lattice cell, with probes inside, on and at the ends of the
-    lattice."""
+    lattice.  The windows include a narrow off-centre gaussian, whose rows
+    far from its centre are nonzero but below the live-row floor, and an
+    all-zero window."""
     L = 8.0
     u = grid_sampled_distribution(_random_grid(d, n, complex_u), L)
     lattice = [tuple([0.0] * d)] if d == 1 else [(0.0, 0.0), (0.3, -0.7)]
@@ -491,9 +543,16 @@ def test_windowed_magnitudes_equal_full_transform(d, n, complex_u):
     fr = np.clip(t - i0, 0.0, 1.0)
     dx = proto.dx
     geom = cone_geometry(radial_geometry(ctx.X), sphere_grid(d, 8)[1])
+    narrow = gaussian_window(ctx.X, (2.0,) * d, 0.3)
+    if d == 2:
+        rowmax = narrow.reshape(n, n).max(axis=1)
+        dead = rowmax <= LIVE_ROW_FLOOR * rowmax.max()
+        assert 0 < np.count_nonzero(dead) < n and np.all(rowmax > 0)
     windows = [
         gaussian_window(ctx.X, lattice[-1], 0.5),
         logradial_window(cone_aperture(geom, 0.35), 4.0, 0.3),
+        narrow,
+        np.zeros(n**d),
     ]
     for w in windows:
         mass = float(np.sum(np.abs(w))) * dx**d + 1e-300
@@ -506,9 +565,10 @@ def test_windowed_magnitudes_equal_full_transform(d, n, complex_u):
 
 def test_wf_scan_transforms_only_probed_columns(monkeypatch):
     """Work guard on the 256^2 pinned protocol: each window's axis-1 pass
-    covers every row, its axis-0 pass only the columns that the probes'
-    stencils touch, and no window transforms or shifts the full grid in
-    one call."""
+    covers only its band of live rows, its axis-0 pass only the columns
+    that the probes' stencils touch, and no window transforms or shifts the
+    full grid in one call.  The bands hold 14 476 of the 76 windows' 19 456
+    rows, 48 to 256 rows each."""
     u, proto = _prescribed_2d(256, [(0.0, 0.0), (1.0, 0.0)])
     n = proto.ngrid
     rho = proto.rho_dense()
@@ -541,12 +601,14 @@ def test_wf_scan_transforms_only_probed_columns(monkeypatch):
     n_windows = len(proto.sigmas) * len(proto.classical_centers) + 3 * len(proto.x_dirs) * len(
         proto.r_values()
     )
+    assert n_windows == 76
     full = [c for c in calls if c[0] != "fft" and np.prod(c[1]) >= n * n]
     assert full == []
-    rows = [c for c in calls if c == ("fft", (n, n), 1)]
+    bands = [c[1][0] for c in calls if c[0] == "fft" and c[2] == 1 and c[1][1:] == (n,)]
     cols = [c for c in calls if c == ("fft", (n, touched.size), 0)]
-    assert len(rows) == len(cols) == n_windows
+    assert len(bands) == len(cols) == n_windows
     assert len([c for c in calls if c[0] == "fft"]) == 2 * n_windows
+    assert (sum(bands), min(bands), max(bands)) == (14476, 48, 256)
 
 
 @pytest.mark.parametrize(
