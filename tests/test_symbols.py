@@ -130,7 +130,8 @@ def test_scan_protocol_refuses_what_it_cannot_honour(bad):
 
 def test_scan_protocol_records_sequences_as_tuples():
     """A list of radii (as from a JSON config) is kept as a tuple, so the
-    protocol stays hashable and equal to the one built from the tuple."""
+    protocol stays hashable and equal to the one built from the tuple.  A
+    refinement count of 0 (one pass, no refinement) is accepted."""
     p = DEFAULT_PROTOCOL.replace(radii=[32.0, 64.0], base_radii=[0.0, 1.0])
     assert p.radii == (32.0, 64.0) and p.base_radii == (0.0, 1.0)
     assert hash(p) == hash(DEFAULT_PROTOCOL.replace(radii=(32.0, 64.0), base_radii=(0.0, 1.0)))
